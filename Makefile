@@ -6,12 +6,12 @@ GO ?= go
 .PHONY: build test test-race test-invariant lint lint-certify figures bench bench-check
 
 # The roots of the determinism certificate: the engine entry point,
-# the runner worker loop, both event-queue implementations, the
+# the runner worker loop, the calendar event queue, the
 # hot-path observability recorders (attribution + time series) whose
 # outputs the CI byte-identity gates cmp, and the sharded orchestrator
 # (ROADMAP item 2): its run/merge entry points and the obs shard
 # merges, which the shard-equivalence CI job cmps byte-for-byte.
-CERT_ROOTS = internal/sim.Run,internal/runner.Map,internal/sim.(*eventHeap).push,internal/sim.(*eventHeap).pop,internal/sim.(*calendarQueue).push,internal/sim.(*calendarQueue).pop,internal/obs.(*AttrRecorder).Event,internal/obs.(*SeriesRecorder).Event,internal/shard.Run,internal/shard.RunSubs,internal/shard.Merge,internal/obs.(*AttrRecorder).Merge,internal/obs.MergeSeries,internal/obs.MergeShardTraces
+CERT_ROOTS = internal/sim.Run,internal/runner.Map,internal/sim.(*calendarQueue).push,internal/sim.(*calendarQueue).pop,internal/obs.(*AttrRecorder).Event,internal/obs.(*SeriesRecorder).Event,internal/shard.Run,internal/shard.RunSubs,internal/shard.Merge,internal/obs.(*AttrRecorder).Merge,internal/obs.MergeSeries,internal/obs.MergeShardTraces
 
 build:
 	$(GO) build ./...

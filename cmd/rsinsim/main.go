@@ -44,12 +44,6 @@
 // files are keyed by simulated time only, so they are byte-identical
 // for any -workers value, exactly like stdout. Inspect the attr and
 // series files with cmd/rsintrace.
-//
-// -queue selects the kernel's pending-event structure (auto, heap, or
-// calendar; auto picks the calendar queue for p ≥ 64). The choice is
-// pure performance: all three settings produce byte-identical output —
-// the equivalence the kernel differential tests and the CI
-// kernel-differential job pin.
 package main
 
 import (
@@ -84,7 +78,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "run the independent sub-networks as a sharded simulation batched into this many jobs, merged deterministically (0 = classic single event loop; output is byte-identical for any positive value)")
 		analytic = flag.Bool("analytic", false, "use the exact Markov analysis (SBUS configurations only)")
 		check    = flag.Bool("check", false, "enable runtime model-invariant checks (see internal/invariant)")
-		queue    = flag.String("queue", "auto", "pending-event structure: auto, heap, or calendar (auto picks the calendar for p ≥ 64; all three produce byte-identical output)")
 
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON of the simulated lifecycle to this file (open in Perfetto; byte-identical for any -workers value)")
 		metricsOut = flag.String("metrics", "", "write per-replication metrics snapshots (counters, time-weighted gauges, delay histograms) as JSON to this file")
@@ -98,10 +91,6 @@ func main() {
 	flag.Parse()
 	if *check {
 		invariant.Enable(true)
-	}
-	queueKind, err := sim.ParseEventQueue(*queue)
-	if err != nil {
-		fatal(err)
 	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
@@ -197,7 +186,7 @@ func main() {
 				Sim: sim.Config{
 					Lambda: lam, MuN: muN, MuS: muS,
 					Seed:   runner.DeriveSeed(*seed, 0, r),
-					Warmup: *warmup, Samples: *samples, EventQueue: queueKind,
+					Warmup: *warmup, Samples: *samples,
 				},
 				Shards:  *shards,
 				Workers: *workers,
@@ -306,7 +295,7 @@ func main() {
 			res, err := sim.Run(net, sim.Config{
 				Lambda: lam, MuN: muN, MuS: muS,
 				Seed: runner.DeriveSeed(*seed, 0, 2*r), Warmup: *warmup, Samples: *samples,
-				Probe: probe, EventQueue: queueKind,
+				Probe: probe,
 			})
 			return repOut{res: res, err: err}
 		})

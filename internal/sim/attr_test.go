@@ -85,13 +85,13 @@ func TestCompleteEventsReconcileExactly(t *testing.T) {
 	}
 }
 
-// TestAttrAndSeriesBytesIdenticalAcrossKernels proves the new
-// recorders inherit the engine's kernel-independence: the heap and the
-// calendar queue must produce byte-identical attribution and series
-// documents at a p large enough that EventQueueAuto would pick the
-// calendar.
+// TestAttrAndSeriesBytesIdenticalAcrossKernels proves the recorders
+// inherit the engine's queue-independence: the kernel driven with the
+// binary-heap oracle and with the production calendar queue must
+// produce byte-identical attribution and series documents on a
+// partitioned large-p run.
 func TestAttrAndSeriesBytesIdenticalAcrossKernels(t *testing.T) {
-	run := func(kind EventQueueKind) ([]byte, []byte) {
+	run := func(q eventQueue) ([]byte, []byte) {
 		const p = 128
 		subs := make([]core.Network, 2)
 		for i := range subs {
@@ -102,10 +102,9 @@ func TestAttrAndSeriesBytesIdenticalAcrossKernels(t *testing.T) {
 		cfg := Config{
 			Lambda: 0.3, MuN: 2, MuS: 1, Seed: 42,
 			Warmup: 40, Samples: 2500,
-			Probe:      obs.Multi(attr, series),
-			EventQueue: kind,
+			Probe: obs.Multi(attr, series),
 		}
-		res, err := Run(core.NewPartitioned(subs), cfg)
+		res, err := runOnQueue(core.NewPartitioned(subs), cfg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,8 +117,8 @@ func TestAttrAndSeriesBytesIdenticalAcrossKernels(t *testing.T) {
 		}
 		return ab.Bytes(), sb.Bytes()
 	}
-	heapAttr, heapSeries := run(EventQueueHeap)
-	calAttr, calSeries := run(EventQueueCalendar)
+	heapAttr, heapSeries := run(&eventHeap{})
+	calAttr, calSeries := run(newCalendarQueue())
 	if !bytes.Equal(heapAttr, calAttr) {
 		t.Error("attribution reports differ between heap and calendar kernels")
 	}

@@ -14,7 +14,7 @@ import "sort"
 // no tuning is exposed.
 //
 // Ordering contract: pop returns events in exactly the (time, seq)
-// order of the binary heap in heap.go — including timestamp ties,
+// order of the binary heap in heap_test.go — including timestamp ties,
 // which follow insertion order via seq. The fuzz test drives both
 // structures side by side to pin this, and the kernel differential
 // matrix pins it end to end.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"rsin/internal/bus"
 	"rsin/internal/core"
@@ -210,5 +211,53 @@ func TestResponseExcludesPreWarmupArrivals(t *testing.T) {
 	if int(res.Response.N) != wantN {
 		t.Errorf("Response.N = %d, want %d post-warmup-arrival completions (%d straddlers excluded)",
 			res.Response.N, wantN, straddlers)
+	}
+}
+
+// TestRunRejectsNonFiniteInputs pins the validation of every float
+// input: NaN compares false against every bound and ±Inf passes the
+// sign checks, so without an explicit finiteness check a NaN warmup
+// never warms up, a NaN or infinite rate stalls the event loop or
+// yields an empty "successful" run, and a NaN per-processor rate is
+// silently treated as zero. Each row runs under a deadline so a
+// regression fails the test instead of hanging it.
+func TestRunRejectsNonFiniteInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	rows := []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"Lambda=NaN", func(c *Config) { c.Lambda = nan }},
+		{"Lambda=+Inf", func(c *Config) { c.Lambda = inf }},
+		{"Lambdas=NaN", func(c *Config) { c.Lambdas = []float64{0.1, nan, 0.1, 0.1} }},
+		{"Lambdas=+Inf", func(c *Config) { c.Lambdas = []float64{0.1, 0.1, inf, 0.1} }},
+		{"MuN=NaN", func(c *Config) { c.MuN = nan }},
+		{"MuN=+Inf", func(c *Config) { c.MuN = inf }},
+		{"MuS=NaN", func(c *Config) { c.MuS = nan }},
+		{"MuS=+Inf", func(c *Config) { c.MuS = inf }},
+		{"Warmup=NaN", func(c *Config) { c.Warmup = nan }},
+		{"Warmup=+Inf", func(c *Config) { c.Warmup = inf }},
+		{"Warmup=-Inf", func(c *Config) { c.Warmup = -inf }},
+		{"RetryJitter=NaN", func(c *Config) { c.RetryJitter = nan }},
+		{"RetryJitter=+Inf", func(c *Config) { c.RetryJitter = inf }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := Config{Lambda: 0.1, MuN: 1, MuS: 1, Seed: 1, Warmup: 10, Samples: 1000}
+			row.mod(&cfg)
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(bus.New(4, 4), cfg)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Errorf("%s accepted", row.name)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: Run did not return within 5s", row.name)
+			}
+		})
 	}
 }

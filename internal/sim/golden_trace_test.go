@@ -19,9 +19,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden trace under testdata/")
 
 // goldenTracePath is the committed event trace (gzipped; traces are
-// highly repetitive text) of a p=256 partitioned omega run. p ≥
-// calendarAutoP, so EventQueueAuto routes this through the calendar
-// queue: the file pins the full observable event stream — every
+// highly repetitive text) of a p=256 partitioned omega run, which Run
+// drives through the calendar queue: the file pins the full observable
+// event stream — every
 // attempt, reject, grant, and completion with timestamps — of the
 // large-p code path (SoA state, arena, calendar queue, partition hint
 // delegation) against accidental drift between commits. The kernel

@@ -1,26 +1,10 @@
 package sim
 
-// event is one scheduled occurrence in the simulation.
-type event struct {
-	time float64
-	seq  uint64 // FIFO tie-breaker for deterministic ordering
-	kind eventKind
-	pid  int // processor concerned (arrival, txDone)
-	gidx int // grant table index (txDone, svcDone)
-}
-
-type eventKind uint8
-
-const (
-	evArrival eventKind = iota
-	evTxDone
-	evSvcDone
-	evRetry
-)
-
-// eventHeap is a binary min-heap ordered by (time, seq). A hand-rolled
-// typed heap avoids the interface boxing of container/heap on the
-// simulator's hottest path.
+// eventHeap is a binary min-heap ordered by (time, seq): the reference
+// pending-event structure the production calendar queue is checked
+// against (FuzzEventHeap, FuzzCalendarVsHeap, the kernel differential
+// matrix). A hand-rolled typed heap avoids the interface boxing of
+// container/heap.
 type eventHeap struct {
 	items []event
 }

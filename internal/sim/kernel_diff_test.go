@@ -20,8 +20,8 @@ import (
 // the same workload —
 //
 //   - runOracle: the frozen pre-refactor kernel (AoS procs, binary heap),
-//   - Run with EventQueueHeap: the SoA kernel on the binary heap,
-//   - Run with EventQueueCalendar: the SoA kernel on the calendar queue,
+//   - the production kernel driven with the binary-heap oracle queue,
+//   - the production kernel on the calendar queue (what Run uses),
 //
 // and requires the rendered Result (every metric, telemetry counter,
 // and raw delay sample) and the rendered obs trace bytes (every grant,
@@ -29,6 +29,26 @@ import (
 // Result equality pins the SoA/arena rewrite; trace equality pins event
 // ordering, including (time, seq) ties, which is exactly where a
 // calendar queue can silently diverge from a heap.
+
+// testQueues names the pending-event structures tests drive the
+// production kernel with: the binary-heap oracle and the calendar queue
+// Run itself uses.
+var testQueues = []struct {
+	name string
+	mk   func() eventQueue
+}{
+	{"heap", func() eventQueue { return &eventHeap{} }},
+	{"calendar", func() eventQueue { return newCalendarQueue() }},
+}
+
+// runOnQueue is Run with q as the pending-event structure: the test
+// seam through which the heap oracle reaches the production kernel.
+func runOnQueue(net core.Network, cfg Config, q eventQueue) (Result, error) {
+	if err := cfg.validate(net.Processors()); err != nil {
+		return Result{}, err
+	}
+	return newKernel(net, cfg, q).run()
+}
 
 // kernelDiffNet is one network class instantiated for a given p.
 type kernelDiffNet struct {
@@ -98,7 +118,9 @@ func kernelDiffSamples(p int, short bool) int {
 // fails the test on any Result or trace divergence.
 func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, samples int) {
 	t.Helper()
-	run := func(kind EventQueueKind, oracle bool) (string, []byte) {
+	// render runs one kernel (q == nil selects runOracle) and returns
+	// its rendered Result and trace bytes.
+	render := func(q eventQueue) (string, []byte) {
 		tr := obs.NewTrace()
 		cfg := Config{
 			Lambda: lambda, MuN: 2, MuS: 1,
@@ -106,16 +128,15 @@ func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, sam
 			Samples:       samples,
 			CollectDelays: true,
 			Probe:         tr,
-			EventQueue:    kind,
 		}
 		var (
 			res Result
 			err error
 		)
-		if oracle {
-			res, err = runOracle(mk(), cfg)
+		if q == nil {
+			res, err = runOracle(mk(), cfg, false)
 		} else {
-			res, err = Run(mk(), cfg)
+			res, err = runOnQueue(mk(), cfg, q)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -126,16 +147,16 @@ func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, sam
 		}
 		return fmt.Sprintf("%+v", res), buf.Bytes()
 	}
-	wantRes, wantTrace := run(EventQueueHeap, true)
-	for _, kind := range []EventQueueKind{EventQueueHeap, EventQueueCalendar} {
-		gotRes, gotTrace := run(kind, false)
+	wantRes, wantTrace := render(nil)
+	for _, tq := range testQueues {
+		gotRes, gotTrace := render(tq.mk())
 		if gotRes != wantRes {
-			t.Errorf("%v kernel Result diverged from oracle:\noracle %.400s\ngot    %.400s",
-				kind, wantRes, gotRes)
+			t.Errorf("%s kernel Result diverged from oracle:\noracle %.400s\ngot    %.400s",
+				tq.name, wantRes, gotRes)
 		}
 		if !bytes.Equal(gotTrace, wantTrace) {
-			t.Errorf("%v kernel trace bytes diverged from oracle (%d vs %d bytes)",
-				kind, len(gotTrace), len(wantTrace))
+			t.Errorf("%s kernel trace bytes diverged from oracle (%d vs %d bytes)",
+				tq.name, len(gotTrace), len(wantTrace))
 		}
 	}
 	if len(wantTrace) == 0 {

@@ -51,10 +51,9 @@ func BenchmarkRunProbe(b *testing.B) {
 		})
 	})
 
-	// The large-p calendar-queue shape: 64 partitioned 64-port
-	// crossbars (p=4096), where EventQueueAuto picks the calendar and
-	// the per-event probe branch competes with a much hotter event
-	// loop. Guards the probe-on overhead story beyond the small
+	// The large-p shape: 64 partitioned 64-port crossbars (p=4096),
+	// where the per-event probe branch competes with a much hotter
+	// event loop. Guards the probe-on overhead story beyond the small
 	// reference system.
 	largeCfg := Config{
 		Lambda:  0.25,

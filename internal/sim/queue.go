@@ -1,78 +1,30 @@
 package sim
 
-import "fmt"
+// event is one scheduled occurrence in the simulation.
+type event struct {
+	time float64
+	seq  uint64 // FIFO tie-breaker for deterministic ordering
+	kind eventKind
+	pid  int // processor concerned (arrival, txDone)
+	gidx int // grant table index (txDone, svcDone)
+}
 
-// eventQueue is the pending-event structure behind sim.Run. Both
-// implementations — the binary eventHeap in heap.go and the
-// calendarQueue in calendar.go — pop events in identical (time, seq)
-// order, so which one a run uses is purely a performance choice; the
-// calendar fuzz test and the kernel differential matrix pin the
-// equivalence.
+type eventKind uint8
+
+const (
+	evArrival eventKind = iota
+	evTxDone
+	evSvcDone
+	evRetry
+)
+
+// eventQueue is the pending-event structure behind sim.Run: a priority
+// queue popping events in (time, seq) order. Production runs always use
+// the calendarQueue in calendar.go; the binary eventHeap in
+// heap_test.go is its test oracle — the calendar fuzz test and the
+// kernel differential matrix drive both and pin identical pop order.
 type eventQueue interface {
 	len() int
 	push(event)
 	pop() event
-}
-
-// EventQueueKind selects the pending-event structure for a run.
-type EventQueueKind uint8
-
-const (
-	// EventQueueAuto (the zero value) picks the calendar queue for
-	// configurations with at least calendarAutoP processors — the
-	// large-p regime where the heap's O(log n) with a cache miss per
-	// level starts to matter — and the binary heap below it.
-	EventQueueAuto EventQueueKind = iota
-	// EventQueueHeap forces the binary min-heap.
-	EventQueueHeap
-	// EventQueueCalendar forces the calendar queue.
-	EventQueueCalendar
-)
-
-// calendarAutoP is the processor count at which EventQueueAuto switches
-// from the binary heap to the calendar queue.
-const calendarAutoP = 64
-
-// String returns the kind name (the -queue flag spelling).
-func (k EventQueueKind) String() string {
-	switch k {
-	case EventQueueAuto:
-		return "auto"
-	case EventQueueHeap:
-		return "heap"
-	case EventQueueCalendar:
-		return "calendar"
-	default:
-		return fmt.Sprintf("EventQueueKind(%d)", int(k))
-	}
-}
-
-// ParseEventQueue parses a -queue flag value.
-func ParseEventQueue(s string) (EventQueueKind, error) {
-	switch s {
-	case "auto", "":
-		return EventQueueAuto, nil
-	case "heap":
-		return EventQueueHeap, nil
-	case "calendar":
-		return EventQueueCalendar, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown event queue %q (want auto, heap, or calendar)", s)
-	}
-}
-
-// newEventQueue builds the queue kind resolves to for a p-processor
-// run.
-func newEventQueue(kind EventQueueKind, p int) eventQueue {
-	switch kind {
-	case EventQueueHeap:
-		return &eventHeap{}
-	case EventQueueCalendar:
-		return newCalendarQueue()
-	default:
-		if p >= calendarAutoP {
-			return newCalendarQueue()
-		}
-		return &eventHeap{}
-	}
 }

@@ -20,6 +20,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"rsin/internal/core"
@@ -106,21 +107,6 @@ type Config struct {
 	// is guarded by a nil check, so an unobserved run pays one branch
 	// per event. Probes observe the full run including warmup.
 	Probe obs.Probe
-
-	// EventQueue selects the pending-event structure. The default
-	// (EventQueueAuto) uses the calendar queue at p ≥ 64 and the binary
-	// heap below; both pop events in identical (time, seq) order, so
-	// the choice never changes results — only speed. See queue.go.
-	EventQueue EventQueueKind
-
-	// legacyWake selects the pre-incremental wake engine: full rescans
-	// of every processor after each release instead of the blocked-waiter
-	// set. Unexported on purpose — it is reachable only from this
-	// package's tests, which use it as the oracle in the differential
-	// proof that the incremental engine reproduces the legacy results
-	// bit for bit. It also disables the core.AvailabilityHinter fast
-	// path, so the oracle exercises the plain Acquire protocol.
-	legacyWake bool
 }
 
 // Result carries the measured steady-state estimates of one run.
@@ -201,8 +187,8 @@ var ErrSaturated = errors.New("sim: queue exceeded MaxQueue; system appears satu
 // The kernel is allocation-free in steady state: processor state lives
 // in struct-of-arrays form (procTable), queued tasks in a free-list
 // arena (taskArena), in-flight grants in the slot-reusing grantTable,
-// and both event-queue implementations retain their capacity — so once
-// the structures have grown to the run's peak backlog, the event loop
+// and the calendar event queue retains its capacity — so once the
+// structures have grown to the run's peak backlog, the event loop
 // performs zero heap allocations. arena_test.go pins this with
 // testing.AllocsPerRun and a whole-run malloc-delta check, and the
 // kernel differential matrix in kernel_diff_test.go proves the layout
@@ -221,23 +207,106 @@ func Run(net core.Network, cfg Config) (res Result, err error) {
 			panic(r)
 		}
 	}()
-	if cfg.Lambda < 0 || cfg.MuN <= 0 || cfg.MuS <= 0 {
-		return Result{}, fmt.Errorf("sim: invalid rates λ=%g μn=%g μs=%g", cfg.Lambda, cfg.MuN, cfg.MuS)
+	if err := cfg.validate(net.Processors()); err != nil {
+		return Result{}, err
 	}
-	rates := cfg.Lambdas
-	if rates == nil {
-		rates = make([]float64, net.Processors())
-		for i := range rates {
-			rates[i] = cfg.Lambda
+	return newKernel(net, cfg, newCalendarQueue()).run()
+}
+
+// validate rejects configurations the kernel cannot run. Every float
+// input must be finite: NaN compares false against every bound, so it
+// would slip past the sign checks, and a NaN or infinite rate, warmup,
+// or jitter either stalls the event loop (the warmup cut or the sample
+// count is never reached) or silently empties the run.
+func (cfg *Config) validate(p int) error {
+	if !finite(cfg.Lambda) || !finite(cfg.MuN) || !finite(cfg.MuS) ||
+		cfg.Lambda < 0 || cfg.MuN <= 0 || cfg.MuS <= 0 {
+		return fmt.Errorf("sim: invalid rates λ=%g μn=%g μs=%g", cfg.Lambda, cfg.MuN, cfg.MuS)
+	}
+	if cfg.Lambdas != nil && len(cfg.Lambdas) != p {
+		return fmt.Errorf("sim: Lambdas has %d entries for %d processors", len(cfg.Lambdas), p)
+	}
+	for pid, r := range cfg.Lambdas {
+		if !finite(r) || r < 0 {
+			return fmt.Errorf("sim: invalid arrival rate %g for processor %d", r, pid)
 		}
-	} else if len(rates) != net.Processors() {
-		return Result{}, fmt.Errorf("sim: Lambdas has %d entries for %d processors", len(rates), net.Processors())
 	}
-	for pid, r := range rates {
-		if r < 0 {
-			return Result{}, fmt.Errorf("sim: negative arrival rate %g for processor %d", r, pid)
-		}
+	if !finite(cfg.Warmup) {
+		return fmt.Errorf("sim: invalid warmup %g", cfg.Warmup)
 	}
+	if !finite(cfg.RetryJitter) {
+		return fmt.Errorf("sim: invalid retry jitter %g", cfg.RetryJitter)
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// kernel is the state of one simulation run. Its methods are the
+// layers of the event loop: schedule files events into the pending
+// queue, the on* handlers process one popped event each, tryStart
+// attempts an allocation, and wake retries the blocked waiters after a
+// release.
+type kernel struct {
+	net   core.Network
+	cfg   Config
+	rates []float64 // per-processor arrival rates (cfg.Lambdas or Lambda everywhere)
+	p     int
+	src   *rng.Source
+
+	pt     *procTable
+	grants *grantTable
+	q      eventQueue
+	seq    uint64 // next event's FIFO tie-breaker
+	now    float64
+
+	// Incremental wake engine state. blocked tracks exactly the
+	// processors that are idle with a nonempty queue — the ones whose
+	// last allocation attempt failed and that a release could unblock.
+	blocked     *waiterSet
+	hinter      core.AvailabilityHinter
+	wakeScratch []int // WakeRandom permutation buffer
+	rrStart     int   // WakeRoundRobin starting processor
+	retryPend   []bool
+
+	// headSince[pid] is the simulated time pid's current head-of-queue
+	// task became eligible to transmit: the first instant the engine
+	// could attempt allocation for it (task at the head AND processor
+	// idle). It feeds the per-request latency attribution — the span
+	// arrival → headSince is queue wait behind the processor's earlier
+	// tasks, headSince → transmit start is network blocking.
+	headSince []float64
+
+	// Probe support. Omega-style in-network rejects are surfaced by
+	// diffing the network's telemetry counter around each Acquire; the
+	// diff (and the TelemetrySource lookup) happens only when a probe is
+	// attached, keeping the nil fast path to a single branch per site.
+	probe  obs.Probe
+	telSrc core.TelemetrySource
+
+	delays    *stats.BatchMeans
+	responses *stats.BatchMeans
+	kept      []float64 // raw delay samples (cfg.CollectDelays)
+	collected int
+	completed int64
+	queueLen  stats.TimeWeighted
+	busyTW    stats.TimeWeighted
+	totalQ    int
+	busyPorts int
+	warmedUp  bool
+
+	// Full-run flow counters for the conservation invariant; unlike
+	// completed they are never reset at warmup.
+	arrivedTotal int64
+	servedTotal  int64
+	inService    int
+}
+
+// newKernel prepares a run of net under cfg (already validated) with q
+// as the pending-event structure. Production always passes the calendar
+// queue; the parameter exists so this package's tests can drive the
+// kernel with the binary-heap oracle.
+func newKernel(net core.Network, cfg Config, q eventQueue) *kernel {
 	if cfg.Samples <= 0 {
 		cfg.Samples = 100000
 	}
@@ -251,490 +320,461 @@ func Run(net core.Network, cfg Config) (res Result, err error) {
 		cfg.MaxQueue = 1 << 20
 	}
 	p := net.Processors()
-	src := rng.New(cfg.Seed)
-	pt := newProcTable(p, p)
-	grants := newGrantTable()
-
-	// Incremental wake engine state. blocked tracks exactly the
-	// processors that are idle with a nonempty queue — the ones whose
-	// last allocation attempt failed and that a release could unblock.
-	// It is maintained in both engine modes (so the invariant oracle
-	// checks it everywhere) but only the incremental wake consults it.
-	blocked := newWaiterSet(p)
-	var hinter core.AvailabilityHinter
-	if !cfg.legacyWake {
-		hinter, _ = net.(core.AvailabilityHinter)
+	rates := cfg.Lambdas
+	if rates == nil {
+		rates = make([]float64, p)
+		for i := range rates {
+			rates[i] = cfg.Lambda
+		}
 	}
-	var wakeScratch []int
-	if cfg.WakePolicy == WakeRandom && !cfg.legacyWake {
-		wakeScratch = make([]int, p)
+	k := &kernel{
+		net:       net,
+		cfg:       cfg,
+		rates:     rates,
+		p:         p,
+		src:       rng.New(cfg.Seed),
+		pt:        newProcTable(p, p),
+		grants:    newGrantTable(),
+		q:         q,
+		blocked:   newWaiterSet(p),
+		retryPend: make([]bool, p),
+		headSince: make([]float64, p),
+		probe:     cfg.Probe,
+		delays:    stats.NewBatchMeans(int64(cfg.BatchSize)),
+		responses: stats.NewBatchMeans(int64(cfg.BatchSize)),
 	}
-
-	// headSince[pid] is the simulated time pid's current head-of-queue
-	// task became eligible to transmit: the first instant the engine
-	// could attempt allocation for it (task at the head AND processor
-	// idle). It feeds the per-request latency attribution — the span
-	// arrival → headSince is queue wait behind the processor's earlier
-	// tasks, headSince → transmit start is network blocking.
-	headSince := make([]float64, p)
-
-	var (
-		q         = newEventQueue(cfg.EventQueue, p)
-		seq       uint64
-		now       float64
-		delays    = stats.NewBatchMeans(int64(cfg.BatchSize))
-		responses = stats.NewBatchMeans(int64(cfg.BatchSize))
-		collected int
-		completed int64
-		queueLen  stats.TimeWeighted
-		busyTW    stats.TimeWeighted
-		totalQ    int
-		busyPorts int
-		warmedUp  bool
-		rrStart   int
-		retryPend = make([]bool, p)
-
-		// Full-run flow counters for the conservation invariant; unlike
-		// `completed` they are never reset at warmup.
-		arrivedTotal int64
-		servedTotal  int64
-		inService    int
-	)
+	k.hinter, _ = net.(core.AvailabilityHinter)
+	if cfg.WakePolicy == WakeRandom {
+		k.wakeScratch = make([]int, p)
+	}
+	if k.probe != nil {
+		k.telSrc, _ = net.(core.TelemetrySource)
+	}
 	// Steady-state zero-allocation support: the batch-means slices are
 	// the only unbounded accumulators left, so reserve their full-run
 	// capacity up front (one batch mean per BatchSize samples, plus the
 	// in-progress batch).
-	delays.Reserve(cfg.Samples/cfg.BatchSize + 1)
-	responses.Reserve(cfg.Samples/cfg.BatchSize + 1)
-	//lint:hotpath event scheduling, one call per simulated event
-	schedule := func(e event) {
-		e.seq = seq
-		seq++
-		q.push(e)
-	}
-	//lint:hotpath queue-length accumulator update
-	setQ := func(delta int) {
-		totalQ += delta
-		queueLen.Set(now, float64(totalQ))
-	}
-	//lint:hotpath busy-port accumulator update
-	setBusy := func(delta int) {
-		busyPorts += delta
-		busyTW.Set(now, float64(busyPorts))
-	}
-	queueLen.Set(0, 0)
-	busyTW.Set(0, 0)
-
-	// Probe support. Omega-style in-network rejects are surfaced by
-	// diffing the network's telemetry counter around each Acquire; the
-	// diff (and the TelemetrySource lookup) happens only when a probe is
-	// attached, keeping the nil fast path to a single branch per site.
-	probe := cfg.Probe
-	var telSrc core.TelemetrySource
-	if probe != nil {
-		telSrc, _ = net.(core.TelemetrySource)
-	}
-	rejectCount := func() int64 {
-		if telSrc == nil {
-			return 0
-		}
-		return telSrc.Telemetry().Rejects
-	}
-
-	for pid := 0; pid < p; pid++ {
-		if rates[pid] > 0 {
-			schedule(event{time: src.Exp(rates[pid]), kind: evArrival, pid: pid})
-		}
-	}
-
-	// startTx begins transmission for pid's head-of-queue task (already
-	// granted). Returns the queueing delay of the task.
-	//lint:hotpath grant-to-transmission turnaround
-	startTx := func(pid int, g core.Grant) float64 {
-		eligibleAt := headSince[pid]
-		arrivedAt, req := pt.popFront(pid)
-		setQ(-1)
-		pt.transmitting[pid] = true
-		setBusy(1)
-		gi := grants.put(g, arrivedAt)
-		schedule(event{time: now + src.Exp(cfg.MuN), kind: evTxDone, pid: pid, gidx: gi})
-		d := now - arrivedAt
-		//lint:coldpath probe emission, nil on the measured fast path
-		if probe != nil {
-			// Latency attribution: split d into queue wait (arrival →
-			// eligible) and network blocking (eligible → now). arrivedAt ≤
-			// eligibleAt ≤ now, and IEEE subtraction is monotone in the
-			// subtrahend, so 0 ≤ block ≤ d without clamping; the fixup
-			// loop then nudges wait until wait+block reproduces d bit for
-			// bit (one float64 subtraction is almost always enough — the
-			// loop is a guard against the rare double rounding).
-			block := now - eligibleAt
-			wait := d - block
-			for i := 0; i < 8 && wait+block != d; i++ {
-				wait += d - (wait + block)
-			}
-			grants.setAttr(gi, req, now, wait, block)
-			probe.Event(obs.Event{T: now, Kind: obs.KindTransmitStart, Pid: pid, Port: g.Port, Req: req, Dur: d})
-		}
-		return d
-	}
-
-	var kept []float64
+	k.delays.Reserve(cfg.Samples/cfg.BatchSize + 1)
+	k.responses.Reserve(cfg.Samples/cfg.BatchSize + 1)
 	if cfg.CollectDelays {
-		kept = make([]float64, 0, cfg.Samples)
+		k.kept = make([]float64, 0, cfg.Samples)
 	}
-	//lint:hotpath per-sample delay recording
-	recordDelay := func(d float64) {
-		if !warmedUp {
-			return
-		}
-		delays.Add(d)
-		if cfg.CollectDelays {
-			//lint:ignore hotalloc kept has full-run capacity reserved above; pinned by TestRunSteadyStateZeroAlloc
-			kept = append(kept, d)
-		}
-		collected++
-	}
+	k.queueLen.Set(0, 0)
+	k.busyTW.Set(0, 0)
+	return k
+}
 
-	// tryStart attempts to begin transmission for pid if it has queued
-	// work and is idle, registering pid as a blocked waiter when the
-	// attempt fails and clearing it on a grant.
-	//lint:hotpath allocation attempt, runs on every arrival and wake
-	tryStart := func(pid int) bool {
-		if pt.transmitting[pid] || pt.qlen[pid] == 0 {
-			return false
-		}
-		if hinter != nil && hinter.AcquireWouldFail(pid) {
-			// The network's status broadcast says the attempt is
-			// hopeless; per the core.AvailabilityHinter contract the
-			// hinter has already accounted the probe in telemetry
-			// exactly as the failed Acquire would have, so skipping the
-			// call leaves results bit-for-bit unchanged. Fast-failed
-			// probes never enter the network, so they produce no
-			// in-network rejects — matching the Acquire paths the hint
-			// short-circuits, which reject-count before routing.
-			blocked.add(pid)
-			return false
-		}
-		var rejBefore int64
-		//lint:coldpath probe emission, nil on the measured fast path
-		if probe != nil {
-			rejBefore = rejectCount()
-		}
-		g, ok := net.Acquire(pid)
-		if !ok {
-			//lint:coldpath probe emission, nil on the measured fast path
-			if probe != nil {
-				if rej := rejectCount() - rejBefore; rej > 0 {
-					probe.Event(obs.Event{T: now, Kind: obs.KindReject, Pid: pid, Port: -1, Req: pt.arena.req[pt.qhead[pid]], Aux: rej})
-				}
-			}
-			blocked.add(pid)
-			return false
-		}
-		//lint:coldpath probe emission, nil on the measured fast path
-		if probe != nil {
-			probe.Event(obs.Event{T: now, Kind: obs.KindGrant, Pid: pid, Port: g.Port, Req: pt.arena.req[pt.qhead[pid]], Aux: rejectCount() - rejBefore})
-		}
-		blocked.remove(pid)
-		recordDelay(startTx(pid, g))
-		return true
-	}
-
-	// wakeLegacy is the pre-incremental engine, kept verbatim as the
-	// differential-test oracle (Config.legacyWake): full passes over all
-	// p processors in policy order until a pass makes no progress, with
-	// tryStart no-opping on processors that are transmitting or have
-	// empty queues.
-	wakeLegacy := func() {
-		if cfg.RetryJitter > 0 {
-			for pid := 0; pid < p; pid++ {
-				if retryPend[pid] || pt.transmitting[pid] || pt.qlen[pid] == 0 {
-					continue
-				}
-				retryPend[pid] = true
-				schedule(event{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
-			}
-			return
-		}
-		switch cfg.WakePolicy {
-		case WakeIndexOrder:
-			for progress := true; progress; {
-				progress = false
-				for pid := 0; pid < p; pid++ {
-					if tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		case WakeRoundRobin:
-			rrStart = (rrStart + 1) % p
-			for progress := true; progress; {
-				progress = false
-				for i := 0; i < p; i++ {
-					if tryStart((rrStart + i) % p) {
-						progress = true
-					}
-				}
-			}
-		case WakeRandom:
-			for progress := true; progress; {
-				progress = false
-				for _, pid := range src.Perm(p) {
-					if tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		}
-	}
-
-	// wake retries blocked processors after a release. The incremental
-	// engine visits only the registered blocked waiters, in the exact
-	// order the legacy full scan would have reached them, so results are
-	// bit-for-bit identical:
-	//
-	//   - tryStart is a strict no-op (no Acquire, no RNG draw) for any
-	//     processor that is transmitting or has an empty queue, so
-	//     skipping non-waiters cannot change state, telemetry, or the
-	//     random stream;
-	//   - within a pass grants only consume network capacity, so no
-	//     processor becomes blocked mid-pass and the waiter set only
-	//     loses the members the pass itself grants;
-	//   - the legacy engine repeats passes while any pass made progress,
-	//     and its hopeless re-probes land in network telemetry, so the
-	//     incremental engine repeats identically rather than stopping
-	//     early (the AvailabilityHinter keeps those re-probes O(1));
-	//   - WakeRandom draws a full permutation per pass either way
-	//     (PermInto consumes exactly Perm's variates) and filters it by
-	//     membership, preserving the RNG stream.
-	//
-	// With RetryJitter set, retries are instead scheduled after
-	// independent exponential delays — the paper's de-synchronization
-	// suggestion — visiting waiters in the ascending order the legacy
-	// scan used.
-	//lint:hotpath post-release retry engine
-	wake := func() {
-		if cfg.legacyWake {
-			//lint:ignore hotalloc legacy oracle engine, reachable only from this package's differential tests (src.Perm allocates by design)
-			wakeLegacy()
-			return
-		}
-		if cfg.RetryJitter > 0 {
-			for pid := blocked.next(0); pid != -1; pid = blocked.next(pid + 1) {
-				if retryPend[pid] {
-					continue
-				}
-				retryPend[pid] = true
-				schedule(event{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
-			}
-			return
-		}
-		switch cfg.WakePolicy {
-		case WakeIndexOrder:
-			for progress := true; progress; {
-				progress = false
-				for pid := blocked.next(0); pid != -1; pid = blocked.next(pid + 1) {
-					if tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		case WakeRoundRobin:
-			rrStart = (rrStart + 1) % p
-			for progress := true; progress; {
-				progress = false
-				for pid := blocked.next(rrStart); pid != -1; pid = blocked.next(pid + 1) {
-					if tryStart(pid) {
-						progress = true
-					}
-				}
-				for pid := blocked.next(0); pid != -1 && pid < rrStart; pid = blocked.next(pid + 1) {
-					if tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		case WakeRandom:
-			for progress := true; progress; {
-				progress = false
-				src.PermInto(wakeScratch)
-				for _, pid := range wakeScratch {
-					if blocked.contains(pid) && tryStart(pid) {
-						progress = true
-					}
-				}
-			}
+// run schedules every processor's first arrival, processes events until
+// Samples post-warmup delays are collected, and assembles the Result.
+func (k *kernel) run() (Result, error) {
+	for pid := 0; pid < k.p; pid++ {
+		if k.rates[pid] > 0 {
+			k.schedule(event{time: k.src.Exp(k.rates[pid]), kind: evArrival, pid: pid})
 		}
 	}
 
 	//lint:hotpath the event loop — everything below runs once per simulated event
-	for collected < cfg.Samples {
-		if q.len() == 0 {
+	for k.collected < k.cfg.Samples {
+		if k.q.len() == 0 {
 			break // λ == 0: nothing will ever happen
 		}
-		e := q.pop()
+		e := k.q.pop()
 		if invariant.Enabled() {
-			if verr := invariant.NonDecreasing("sim", now, e.time); verr != nil {
+			if verr := invariant.NonDecreasing("sim", k.now, e.time); verr != nil {
 				return Result{}, verr
 			}
 		}
-		now = e.time
-		if !warmedUp && now >= cfg.Warmup {
-			warmedUp = true
-			queueLen.Reset()
-			busyTW.Reset()
-			completed = 0
+		k.now = e.time
+		if !k.warmedUp && k.now >= k.cfg.Warmup {
+			k.warmedUp = true
+			k.queueLen.Reset()
+			k.busyTW.Reset()
+			k.completed = 0
 		}
 		switch e.kind {
 		case evArrival:
-			req := arrivedTotal
-			arrivedTotal++
-			//lint:coldpath probe emission, nil on the measured fast path
-			if probe != nil {
-				probe.Event(obs.Event{T: now, Kind: obs.KindArrival, Pid: e.pid, Port: -1, Req: req})
+			if err := k.onArrival(e); err != nil {
+				return Result{}, err
 			}
-			if pt.qlen[e.pid] == 0 && !pt.transmitting[e.pid] {
-				// The task heads an empty queue on an idle processor: it
-				// is eligible to transmit the instant it arrives.
-				headSince[e.pid] = now
-			}
-			pt.push(e.pid, now, req)
-			setQ(1)
-			//lint:coldpath saturation abort, terminates the run
-			if pt.queued(e.pid) >= cfg.MaxQueue {
-				return Result{}, fmt.Errorf("%w (processor %d, t=%g)", ErrSaturated, e.pid, now)
-			}
-			// The task has joined its processor's queue; report that
-			// before the allocation attempt so probes see the causal
-			// order enqueue → grant. Aux is the queue length including
-			// this task.
-			//lint:coldpath probe emission, nil on the measured fast path
-			if probe != nil {
-				probe.Event(obs.Event{T: now, Kind: obs.KindEnqueue, Pid: e.pid, Port: -1, Req: req, Aux: int64(pt.queued(e.pid))})
-			}
-			tryStart(e.pid)
-			schedule(event{time: now + src.Exp(rates[e.pid]), kind: evArrival, pid: e.pid})
 		case evTxDone:
-			g := grants.get(e.gidx)
-			net.ReleasePath(g)
-			pt.transmitting[e.pid] = false
-			if pt.qlen[e.pid] > 0 {
-				// The processor turned idle with work still queued: it
-				// is now a blocked waiter (its next task has not been
-				// granted), so register it before the wake below. Its
-				// head-of-queue task becomes eligible to transmit now.
-				blocked.add(e.pid)
-				headSince[e.pid] = now
-			}
-			setBusy(-1)
-			inService++
-			grants.markTx(e.gidx, now)
-			schedule(event{time: now + src.Exp(cfg.MuS), kind: evSvcDone, gidx: e.gidx})
-			//lint:coldpath probe emission, nil on the measured fast path
-			if probe != nil {
-				probe.Event(obs.Event{T: now, Kind: obs.KindTransmitEnd, Pid: e.pid, Port: g.Port, Req: grants.req(e.gidx)})
-			}
-			// The freed path (and bus) may unblock queued tasks,
-			// including this processor's own next task.
-			wake()
+			k.onTxDone(e)
 		case evSvcDone:
-			s := grants.take(e.gidx)
-			net.ReleaseResource(s.g)
-			inService--
-			servedTotal++
-			completed++
-			// Response estimates use only tasks whose whole lifetime lies
-			// in the measurement window: a task that arrived before the
-			// warmup cut carries transient queueing in its response and
-			// would bias the steady-state mean.
-			if warmedUp && s.arrived >= cfg.Warmup {
-				responses.Add(now - s.arrived)
-			}
-			//lint:coldpath probe emission, nil on the measured fast path
-			if probe != nil {
-				probe.Event(obs.Event{T: now, Kind: obs.KindRelease, Pid: s.g.Processor, Port: s.g.Port, Req: s.req, Dur: now - s.txDone})
-				// Close the request with its exact latency attribution.
-				// resp is the same expression the Response estimator
-				// consumes, tx/svc telescope between the stored stamps;
-				// the fixup loop nudges svc until the left-to-right sum
-				// (wait+block)+tx+svc reproduces resp bit for bit.
-				resp := now - s.arrived
-				tx := s.txDone - s.txStart
-				svc := now - s.txDone
-				partial := (s.wait + s.block) + tx
-				for i := 0; i < 8 && partial+svc != resp; i++ {
-					svc += resp - (partial + svc)
-				}
-				var measured int64
-				if warmedUp && s.arrived >= cfg.Warmup {
-					measured = 1
-				}
-				probe.Event(obs.Event{
-					T: now, Kind: obs.KindComplete, Pid: s.g.Processor, Port: s.g.Port,
-					Req: s.req, Aux: measured, Dur: resp,
-					Wait: s.wait, Block: s.block, Tx: tx, Svc: svc,
-				})
-			}
-			// The freed resource may unblock queued tasks.
-			wake()
+			k.onSvcDone(e)
 		case evRetry:
-			retryPend[e.pid] = false
-			tryStart(e.pid)
+			k.retryPend[e.pid] = false
+			k.tryStart(e.pid)
 		}
 		if invariant.Enabled() {
-			if verr := blockedInvariant(pt, blocked); verr != nil {
+			if verr := blockedInvariant(k.pt, k.blocked); verr != nil {
 				return Result{}, verr
 			}
-			if verr := pt.checkChains(); verr != nil {
+			if verr := k.pt.checkChains(); verr != nil {
 				return Result{}, verr
 			}
 		}
 	}
 
 	if invariant.Enabled() {
-		inFlight := int64(totalQ + busyPorts + inService)
-		if verr := invariant.Conserved("sim", arrivedTotal, servedTotal, inFlight); verr != nil {
+		inFlight := int64(k.totalQ + k.busyPorts + k.inService)
+		if verr := invariant.Conserved("sim", k.arrivedTotal, k.servedTotal, inFlight); verr != nil {
 			return Result{}, verr
 		}
-		if out := grants.outstanding(); out != busyPorts+inService {
+		if out := k.grants.outstanding(); out != k.busyPorts+k.inService {
 			return Result{}, invariant.Errorf("sim",
-				"grant table leak: %d outstanding grants for %d tasks holding the network", out, busyPorts+inService)
+				"grant table leak: %d outstanding grants for %d tasks holding the network", out, k.busyPorts+k.inService)
 		}
 	}
+	return k.result(), nil
+}
 
-	res = Result{
-		Delay:     delays.Interval(0.95),
-		Response:  responses.Interval(0.95),
-		Completed: completed,
-		SimTime:   now,
-		Delays:    kept,
+// result assembles the run's Result from the closed accumulators.
+func (k *kernel) result() Result {
+	res := Result{
+		Delay:     k.delays.Interval(0.95),
+		Response:  k.responses.Interval(0.95),
+		Completed: k.completed,
+		SimTime:   k.now,
+		Delays:    k.kept,
 	}
-	res.MeanQueue = queueLen.Finish(now)
-	res.Utilization = busyTW.Finish(now) / float64(net.Ports())
+	res.MeanQueue = k.queueLen.Finish(k.now)
+	res.Utilization = k.busyTW.Finish(k.now) / float64(k.net.Ports())
 	res.NormalizedDelay = stats.CI{
-		Mean:     res.Delay.Mean * cfg.MuS,
-		HalfWide: res.Delay.HalfWide * cfg.MuS,
+		Mean:     res.Delay.Mean * k.cfg.MuS,
+		HalfWide: res.Delay.HalfWide * k.cfg.MuS,
 		N:        res.Delay.N,
 	}
-	if ts, ok := net.(core.TelemetrySource); ok {
+	if ts, ok := k.net.(core.TelemetrySource); ok {
 		res.Telemetry = ts.Telemetry()
 	}
-	if ds, ok := net.(core.DetailSource); ok {
+	if ds, ok := k.net.(core.DetailSource); ok {
 		res.Details = ds.DetailCounters()
 	}
-	if cfg.ExportAccumulators {
+	if k.cfg.ExportAccumulators {
 		// queueLen/busyTW windows are closed (Finish above), so the
 		// copies are stable snapshots ready for window stitching.
 		res.Accum = &Accum{
-			Delays:    delays,
-			Responses: responses,
-			QueueLen:  queueLen,
-			BusyPorts: busyTW,
-			Ports:     net.Ports(),
+			Delays:    k.delays,
+			Responses: k.responses,
+			QueueLen:  k.queueLen,
+			BusyPorts: k.busyTW,
+			Ports:     k.net.Ports(),
 		}
 	}
-	return res, nil
+	return res
+}
+
+// schedule stamps e with the next FIFO tie-breaker and files it.
+//
+//lint:hotpath one call per simulated event
+func (k *kernel) schedule(e event) {
+	e.seq = k.seq
+	k.seq++
+	k.q.push(e)
+}
+
+// setQ updates the queued-task count and its time-weighted accumulator.
+//
+//lint:hotpath
+func (k *kernel) setQ(delta int) {
+	k.totalQ += delta
+	k.queueLen.Set(k.now, float64(k.totalQ))
+}
+
+// setBusy updates the busy-port count and its time-weighted accumulator.
+//
+//lint:hotpath
+func (k *kernel) setBusy(delta int) {
+	k.busyPorts += delta
+	k.busyTW.Set(k.now, float64(k.busyPorts))
+}
+
+// rejectCount reads the network's cumulative in-network reject counter
+// (zero when the network exports no telemetry).
+func (k *kernel) rejectCount() int64 {
+	if k.telSrc == nil {
+		return 0
+	}
+	return k.telSrc.Telemetry().Rejects
+}
+
+// onArrival queues a new task at e.pid, attempts to start it, and
+// schedules the processor's next arrival. It fails with ErrSaturated
+// when the queue reaches MaxQueue.
+//
+//lint:hotpath
+func (k *kernel) onArrival(e event) error {
+	req := k.arrivedTotal
+	k.arrivedTotal++
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindArrival, Pid: e.pid, Port: -1, Req: req})
+	}
+	if k.pt.qlen[e.pid] == 0 && !k.pt.transmitting[e.pid] {
+		// The task heads an empty queue on an idle processor: it is
+		// eligible to transmit the instant it arrives.
+		k.headSince[e.pid] = k.now
+	}
+	k.pt.push(e.pid, k.now, req)
+	k.setQ(1)
+	//lint:coldpath saturation abort, terminates the run
+	if k.pt.queued(e.pid) >= k.cfg.MaxQueue {
+		return fmt.Errorf("%w (processor %d, t=%g)", ErrSaturated, e.pid, k.now)
+	}
+	// The task has joined its processor's queue; report that before the
+	// allocation attempt so probes see the causal order enqueue → grant.
+	// Aux is the queue length including this task.
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindEnqueue, Pid: e.pid, Port: -1, Req: req, Aux: int64(k.pt.queued(e.pid))})
+	}
+	k.tryStart(e.pid)
+	k.schedule(event{time: k.now + k.src.Exp(k.rates[e.pid]), kind: evArrival, pid: e.pid})
+	return nil
+}
+
+// onTxDone ends e.pid's transmission: the path is released, the task
+// enters service, and the freed path may unblock waiters.
+//
+//lint:hotpath
+func (k *kernel) onTxDone(e event) {
+	g := k.grants.get(e.gidx)
+	k.net.ReleasePath(g)
+	k.pt.transmitting[e.pid] = false
+	if k.pt.qlen[e.pid] > 0 {
+		// The processor turned idle with work still queued: it is now a
+		// blocked waiter (its next task has not been granted), so
+		// register it before the wake below. Its head-of-queue task
+		// becomes eligible to transmit now.
+		k.blocked.add(e.pid)
+		k.headSince[e.pid] = k.now
+	}
+	k.setBusy(-1)
+	k.inService++
+	k.grants.markTx(e.gidx, k.now)
+	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuS), kind: evSvcDone, gidx: e.gidx})
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitEnd, Pid: e.pid, Port: g.Port, Req: k.grants.req(e.gidx)})
+	}
+	// The freed path (and bus) may unblock queued tasks, including this
+	// processor's own next task.
+	k.wake()
+}
+
+// onSvcDone completes a task's service: the resource is released, the
+// response time is recorded, and the freed resource may unblock
+// waiters.
+//
+//lint:hotpath
+func (k *kernel) onSvcDone(e event) {
+	s := k.grants.take(e.gidx)
+	k.net.ReleaseResource(s.g)
+	k.inService--
+	k.servedTotal++
+	k.completed++
+	// Response estimates use only tasks whose whole lifetime lies in the
+	// measurement window: a task that arrived before the warmup cut
+	// carries transient queueing in its response and would bias the
+	// steady-state mean.
+	if k.warmedUp && s.arrived >= k.cfg.Warmup {
+		k.responses.Add(k.now - s.arrived)
+	}
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		now := k.now
+		k.probe.Event(obs.Event{T: now, Kind: obs.KindRelease, Pid: s.g.Processor, Port: s.g.Port, Req: s.req, Dur: now - s.txDone})
+		// Close the request with its exact latency attribution. resp is
+		// the same expression the Response estimator consumes, tx/svc
+		// telescope between the stored stamps; the fixup loop nudges svc
+		// until the left-to-right sum (wait+block)+tx+svc reproduces
+		// resp bit for bit.
+		resp := now - s.arrived
+		tx := s.txDone - s.txStart
+		svc := now - s.txDone
+		partial := (s.wait + s.block) + tx
+		for i := 0; i < 8 && partial+svc != resp; i++ {
+			svc += resp - (partial + svc)
+		}
+		var measured int64
+		if k.warmedUp && s.arrived >= k.cfg.Warmup {
+			measured = 1
+		}
+		k.probe.Event(obs.Event{
+			T: now, Kind: obs.KindComplete, Pid: s.g.Processor, Port: s.g.Port,
+			Req: s.req, Aux: measured, Dur: resp,
+			Wait: s.wait, Block: s.block, Tx: tx, Svc: svc,
+		})
+	}
+	// The freed resource may unblock queued tasks.
+	k.wake()
+}
+
+// startTx begins transmission for pid's head-of-queue task (already
+// granted). Returns the queueing delay of the task.
+//
+//lint:hotpath grant-to-transmission turnaround
+func (k *kernel) startTx(pid int, g core.Grant) float64 {
+	eligibleAt := k.headSince[pid]
+	arrivedAt, req := k.pt.popFront(pid)
+	k.setQ(-1)
+	k.pt.transmitting[pid] = true
+	k.setBusy(1)
+	gi := k.grants.put(g, arrivedAt)
+	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuN), kind: evTxDone, pid: pid, gidx: gi})
+	d := k.now - arrivedAt
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		// Latency attribution: split d into queue wait (arrival →
+		// eligible) and network blocking (eligible → now). arrivedAt ≤
+		// eligibleAt ≤ now, and IEEE subtraction is monotone in the
+		// subtrahend, so 0 ≤ block ≤ d without clamping; the fixup loop
+		// then nudges wait until wait+block reproduces d bit for bit
+		// (one float64 subtraction is almost always enough — the loop is
+		// a guard against the rare double rounding).
+		block := k.now - eligibleAt
+		wait := d - block
+		for i := 0; i < 8 && wait+block != d; i++ {
+			wait += d - (wait + block)
+		}
+		k.grants.setAttr(gi, req, k.now, wait, block)
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitStart, Pid: pid, Port: g.Port, Req: req, Dur: d})
+	}
+	return d
+}
+
+// recordDelay adds one queueing-delay sample once the run is warm.
+//
+//lint:hotpath per-sample delay recording
+func (k *kernel) recordDelay(d float64) {
+	if !k.warmedUp {
+		return
+	}
+	k.delays.Add(d)
+	if k.cfg.CollectDelays {
+		//lint:ignore hotalloc kept has full-run capacity reserved in newKernel; pinned by TestRunSteadyStateZeroAlloc
+		k.kept = append(k.kept, d)
+	}
+	k.collected++
+}
+
+// tryStart attempts to begin transmission for pid if it has queued work
+// and is idle, registering pid as a blocked waiter when the attempt
+// fails and clearing it on a grant.
+//
+//lint:hotpath allocation attempt, runs on every arrival and wake
+func (k *kernel) tryStart(pid int) bool {
+	if k.pt.transmitting[pid] || k.pt.qlen[pid] == 0 {
+		return false
+	}
+	if k.hinter != nil && k.hinter.AcquireWouldFail(pid) {
+		// The network's status broadcast says the attempt is hopeless;
+		// per the core.AvailabilityHinter contract the hinter has
+		// already accounted the probe in telemetry exactly as the failed
+		// Acquire would have, so skipping the call leaves results
+		// bit-for-bit unchanged. Fast-failed probes never enter the
+		// network, so they produce no in-network rejects — matching the
+		// Acquire paths the hint short-circuits, which reject-count
+		// before routing.
+		k.blocked.add(pid)
+		return false
+	}
+	var rejBefore int64
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		rejBefore = k.rejectCount()
+	}
+	g, ok := k.net.Acquire(pid)
+	if !ok {
+		//lint:coldpath probe emission, nil on the measured fast path
+		if k.probe != nil {
+			if rej := k.rejectCount() - rejBefore; rej > 0 {
+				k.probe.Event(obs.Event{T: k.now, Kind: obs.KindReject, Pid: pid, Port: -1, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: rej})
+			}
+		}
+		k.blocked.add(pid)
+		return false
+	}
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindGrant, Pid: pid, Port: g.Port, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: k.rejectCount() - rejBefore})
+	}
+	k.blocked.remove(pid)
+	k.recordDelay(k.startTx(pid, g))
+	return true
+}
+
+// wake retries blocked processors after a release. It visits only the
+// registered blocked waiters, in the exact order a full rescan of all
+// p processors would reach them (the pre-incremental engine, frozen in
+// kernel_oracle_test.go), so results are bit-for-bit identical:
+//
+//   - tryStart is a strict no-op (no Acquire, no RNG draw) for any
+//     processor that is transmitting or has an empty queue, so
+//     skipping non-waiters cannot change state, telemetry, or the
+//     random stream;
+//   - within a pass grants only consume network capacity, so no
+//     processor becomes blocked mid-pass and the waiter set only loses
+//     the members the pass itself grants;
+//   - the full-rescan engine repeats passes while any pass made
+//     progress, and its hopeless re-probes land in network telemetry,
+//     so this engine repeats identically rather than stopping early
+//     (the AvailabilityHinter keeps those re-probes O(1));
+//   - WakeRandom draws a full permutation per pass either way
+//     (PermInto consumes exactly Perm's variates) and filters it by
+//     membership, preserving the RNG stream.
+//
+// With RetryJitter set, retries are instead scheduled after independent
+// exponential delays — the paper's de-synchronization suggestion —
+// visiting waiters in ascending order.
+//
+//lint:hotpath post-release retry engine
+func (k *kernel) wake() {
+	if k.cfg.RetryJitter > 0 {
+		for pid := k.blocked.next(0); pid != -1; pid = k.blocked.next(pid + 1) {
+			if k.retryPend[pid] {
+				continue
+			}
+			k.retryPend[pid] = true
+			k.schedule(event{time: k.now + k.src.Exp(1/k.cfg.RetryJitter), kind: evRetry, pid: pid})
+		}
+		return
+	}
+	switch k.cfg.WakePolicy {
+	case WakeIndexOrder:
+		for progress := true; progress; {
+			progress = false
+			for pid := k.blocked.next(0); pid != -1; pid = k.blocked.next(pid + 1) {
+				if k.tryStart(pid) {
+					progress = true
+				}
+			}
+		}
+	case WakeRoundRobin:
+		k.rrStart = (k.rrStart + 1) % k.p
+		for progress := true; progress; {
+			progress = false
+			for pid := k.blocked.next(k.rrStart); pid != -1; pid = k.blocked.next(pid + 1) {
+				if k.tryStart(pid) {
+					progress = true
+				}
+			}
+			for pid := k.blocked.next(0); pid != -1 && pid < k.rrStart; pid = k.blocked.next(pid + 1) {
+				if k.tryStart(pid) {
+					progress = true
+				}
+			}
+		}
+	case WakeRandom:
+		for progress := true; progress; {
+			progress = false
+			k.src.PermInto(k.wakeScratch)
+			for _, pid := range k.wakeScratch {
+				if k.blocked.contains(pid) && k.tryStart(pid) {
+					progress = true
+				}
+			}
+		}
+	}
 }
 
 // grantTable stores outstanding grants (and their tasks' arrival times)

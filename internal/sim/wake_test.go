@@ -136,10 +136,11 @@ func diffLambda(name string) float64 {
 
 // TestWakeEngineDifferential is the equivalence proof for the
 // incremental wake engine: for every network class, wake policy,
-// jitter setting, and seed, a run with the legacy full-rescan engine
-// (Config.legacyWake, availability hints disabled) must produce a
-// Result — metrics, telemetry, detail counters, and every raw delay
-// sample — that renders byte-identically to the incremental engine's.
+// jitter setting, and seed, the oracle kernel's legacy full-rescan
+// engine (runOracle with legacyWake, availability hints disabled) must
+// produce a Result — metrics, telemetry, detail counters, and every raw
+// delay sample — that renders byte-identically to Run's incremental
+// engine.
 func TestWakeEngineDifferential(t *testing.T) {
 	for name, mk := range diffNets() {
 		for _, pol := range []WakePolicy{WakeIndexOrder, WakeRandom, WakeRoundRobin} {
@@ -153,9 +154,7 @@ func TestWakeEngineDifferential(t *testing.T) {
 							WakePolicy: pol, RetryJitter: jitter,
 							CollectDelays: true,
 						}
-						legacy := cfg
-						legacy.legacyWake = true
-						want, err := Run(mk(), legacy)
+						want, err := runOracle(mk(), cfg, true)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -176,8 +175,8 @@ func TestWakeEngineDifferential(t *testing.T) {
 
 // TestWakeEngineDifferentialTrace extends the proof to the observable
 // event stream: with a probe attached, the rendered trace bytes of the
-// two engines must be identical — same grants, rejects, and timestamps
-// in the same order.
+// legacy oracle engine and Run must be identical — same grants,
+// rejects, and timestamps in the same order.
 func TestWakeEngineDifferentialTrace(t *testing.T) {
 	for name, mk := range diffNets() {
 		for _, pol := range []WakePolicy{WakeIndexOrder, WakeRandom, WakeRoundRobin} {
@@ -189,8 +188,13 @@ func TestWakeEngineDifferentialTrace(t *testing.T) {
 						Seed: 7, Warmup: 50, Samples: 1500,
 						WakePolicy: pol, Probe: tr,
 					}
-					cfg.legacyWake = legacy
-					if _, err := Run(mk(), cfg); err != nil {
+					var err error
+					if legacy {
+						_, err = runOracle(mk(), cfg, true)
+					} else {
+						_, err = Run(mk(), cfg)
+					}
+					if err != nil {
 						t.Fatal(err)
 					}
 					var buf bytes.Buffer
@@ -211,14 +215,13 @@ func TestWakeEngineDifferentialTrace(t *testing.T) {
 	}
 }
 
-// BenchmarkWakeEngines compares the legacy full-rescan wake against the
-// incremental blocked-waiter engine in its target regime: large p, high
-// resource intensity (ρ ≈ 0.85), where the legacy engine's O(p) scans
-// on every release dominate the event loop.
+// BenchmarkWakeEngines measures the incremental blocked-waiter engine
+// in its target regime: large p, high resource intensity (ρ ≈ 0.85),
+// where every release wakes a large waiter set.
 func BenchmarkWakeEngines(b *testing.B) {
 	// The package's test init forces invariant checks on, which adds an
-	// O(p) recount per event to both engines and would mask the wake
-	// engine's gain. Measure the production configuration.
+	// O(p) recount per event and would mask the wake engine's cost.
+	// Measure the production configuration.
 	invariant.Enable(false)
 	defer invariant.Enable(true)
 	cases := []struct {
@@ -234,19 +237,16 @@ func BenchmarkWakeEngines(b *testing.B) {
 		{"XBAR-p128", func() core.Network { return crossbar.New(128, 16, 2) }, 0.85 * 32 / 128},
 	}
 	for _, c := range cases {
-		for _, mode := range []string{"legacy", "incremental"} {
-			b.Run(c.name+"/"+mode, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					cfg := Config{
-						Lambda: c.lam, MuN: 4, MuS: 1,
-						Seed: 1, Warmup: 100, Samples: 20000,
-					}
-					cfg.legacyWake = mode == "legacy"
-					if _, err := Run(c.mk(), cfg); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(c.name+"/incremental", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg := Config{
+					Lambda: c.lam, MuN: 4, MuS: 1,
+					Seed: 1, Warmup: 100, Samples: 20000,
 				}
-			})
-		}
+				if _, err := Run(c.mk(), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

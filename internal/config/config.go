@@ -125,8 +125,9 @@ func (c Config) String() string {
 }
 
 // Validate checks structural consistency: p = i·j, positive dimensions,
-// and per-type constraints (SBUS has one output port; OMEGA is square
-// with a power-of-two size).
+// and per-type constraints (SBUS has one output port; OMEGA and CUBE
+// are square with a power-of-two size of at most 64, the width of the
+// network's port-status word).
 func (c Config) Validate() error {
 	switch {
 	case c.Processors <= 0 || c.Networks <= 0 || c.Inputs <= 0 || c.Outputs <= 0 || c.PerPort <= 0:
@@ -143,8 +144,8 @@ func (c Config) Validate() error {
 		if c.Inputs != c.Outputs {
 			return fmt.Errorf("config: %s: %s requires j = k", c, c.Type)
 		}
-		if c.Inputs < 2 || c.Inputs&(c.Inputs-1) != 0 {
-			return fmt.Errorf("config: %s: %s size must be a power of two ≥ 2", c, c.Type)
+		if c.Inputs < 2 || c.Inputs > 64 || c.Inputs&(c.Inputs-1) != 0 {
+			return fmt.Errorf("config: %s: %s size must be a power of two in [2,64]", c, c.Type)
 		}
 	case XBAR:
 		// any shape

@@ -56,18 +56,17 @@ type Crossbar struct {
 	free    []int
 	tel     core.Telemetry
 
-	// Incremental aggregates backing the O(1) core.AvailabilityHinter
-	// answer — the status lines a real resource controller would OR
-	// together rather than rescan.
-	eligPorts    int // ports with an idle bus and ≥1 free resource
-	freeResPorts int // ports with ≥1 free resource (bus state ignored)
+	// freeResPorts counts ports with ≥1 free resource (bus state
+	// ignored): the status line that classifies a reject as a path or a
+	// resource block without rescanning the row.
+	freeResPorts int
 
-	// eligBits mirrors the eligibility predicate per port (bit j set iff
-	// port j has an idle bus and ≥1 free resource), so the FirstFree
-	// policy's "first eligible column" answer is a find-first-set over
-	// m/64 words instead of an O(m) cell walk — the scan that dominates
-	// large-p crossbar profiles. checkAggregates recounts it bit by bit
-	// alongside the scalar aggregates.
+	// eligBits is the only store of port eligibility (bit j set iff port
+	// j has an idle bus and ≥1 free resource), so the FirstFree policy's
+	// "first eligible column" answer and the core.AvailabilityHinter
+	// answer are a find-first-set over m/64 words instead of an O(m)
+	// cell walk — the scan that dominates large-p crossbar profiles.
+	// checkAggregates recounts it bit by bit.
 	eligBits []uint64
 
 	cellsSwept int64   // crossbar cells examined across all Acquires
@@ -93,7 +92,6 @@ func NewWithPolicy(processors, ports, perPort int, policy PortPolicy) *Crossbar 
 		policy:       policy,
 		busBusy:      make([]bool, ports),
 		free:         make([]int, ports),
-		eligPorts:    ports,
 		freeResPorts: ports,
 		eligBits:     make([]uint64, (ports+63)/64),
 		portGrants:   make([]int64, ports),
@@ -188,7 +186,6 @@ func (x *Crossbar) Acquire(pid int) (core.Grant, bool) {
 		"policy %v granted ineligible port %d (busy=%v free=%d)",
 		x.policy, best, x.busBusy[best], x.free[best])
 	x.busBusy[best] = true
-	x.eligPorts-- // was eligible (asserted above), now its bus is busy
 	x.clearElig(best)
 	x.free[best]--
 	if x.free[best] == 0 {
@@ -202,8 +199,8 @@ func (x *Crossbar) Acquire(pid int) (core.Grant, bool) {
 
 // AcquireWouldFail implements core.AvailabilityHinter. The crossbar is
 // non-blocking, so an Acquire succeeds exactly when some port has an
-// idle bus and a free resource — a condition the incremental eligPorts
-// count answers in O(1) instead of Acquire's O(m) row sweep. A hopeless
+// idle bus and a free resource — a condition the eligibility bitmap
+// answers in m/64 words instead of Acquire's O(m) row sweep. A hopeless
 // probe replicates Acquire's failure telemetry bit for bit, including
 // the full-row cellsSwept charge: the hardware wavefront still crosses
 // every cell of the row before the row's reject line asserts.
@@ -213,7 +210,7 @@ func (x *Crossbar) AcquireWouldFail(pid int) bool {
 	if pid < 0 || pid >= x.processors {
 		panic(fmt.Sprintf("crossbar: processor %d out of range", pid))
 	}
-	if x.eligPorts > 0 {
+	if x.firstElig() >= 0 {
 		return false
 	}
 	x.tel.Attempts++
@@ -234,24 +231,19 @@ func (x *Crossbar) checkAggregates() {
 	if !invariant.Enabled() {
 		return
 	}
-	elig, freeRes := 0, 0
+	freeRes := 0
 	for j := 0; j < x.ports; j++ {
-		eligible := false
 		if x.free[j] > 0 {
 			freeRes++
-			if !x.busBusy[j] {
-				elig++
-				eligible = true
-			}
 		}
+		eligible := x.free[j] > 0 && !x.busBusy[j]
 		bit := x.eligBits[j>>6]&(1<<uint(j&63)) != 0
 		invariant.Assert(bit == eligible, "crossbar",
 			"eligibility bit drifted: port %d bit=%v but busy=%v free=%d",
 			j, bit, x.busBusy[j], x.free[j])
 	}
-	invariant.Assert(elig == x.eligPorts && freeRes == x.freeResPorts, "crossbar",
-		"hinter aggregates drifted: eligPorts=%d (recount %d), freeResPorts=%d (recount %d)",
-		x.eligPorts, elig, x.freeResPorts, freeRes)
+	invariant.Assert(freeRes == x.freeResPorts, "crossbar",
+		"freeResPorts drifted: incremental %d, recount %d", x.freeResPorts, freeRes)
 }
 
 // ReleasePath implements core.Network.
@@ -263,7 +255,6 @@ func (x *Crossbar) ReleasePath(g core.Grant) {
 	}
 	x.busBusy[g.Port] = false
 	if x.free[g.Port] > 0 {
-		x.eligPorts++
 		x.setElig(g.Port)
 	}
 	x.checkAggregates()
@@ -280,7 +271,6 @@ func (x *Crossbar) ReleaseResource(g core.Grant) {
 	if x.free[g.Port] == 1 {
 		x.freeResPorts++
 		if !x.busBusy[g.Port] {
-			x.eligPorts++
 			x.setElig(g.Port)
 		}
 	}
@@ -318,7 +308,13 @@ func (x *Crossbar) DetailCounters() []core.NamedCounter {
 
 // FreePorts returns how many ports are currently eligible (idle bus and
 // ≥1 free resource).
-func (x *Crossbar) FreePorts() int { return x.eligPorts }
+func (x *Crossbar) FreePorts() int {
+	n := 0
+	for _, word := range x.eligBits {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
 
 var _ core.Network = (*Crossbar)(nil)
 var _ core.TelemetrySource = (*Crossbar)(nil)

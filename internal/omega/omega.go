@@ -18,14 +18,20 @@
 // Distributed scheduling (paper Fig. 10). Status information flows
 // backward: each box output port carries a resource-availability bit —
 // whether at least one output port reachable downstream has a free bus
-// and a free resource. Requests flow forward: at each box the request
+// and a free resource. The network keeps one status word, bit j set iff
+// output port j has a free bus and a free resource (the paper's Y
+// signal), updated incrementally by every grant and release; the bit of
+// any box output wire is then one AND of that word with the wire's
+// static reach set. Requests flow forward: at each box the request
 // is switched toward an output lane whose wire is unoccupied and whose
 // availability bit is set; when no lane qualifies the request is
 // rejected back to the previous stage, which tries its alternate lane —
 // the reject/reroute mechanism of the paper. Because assumption (c)
 // makes status propagation instantaneous, the search is a depth-first
 // traversal whose dead-end descents are exactly the rejects the
-// hardware would generate.
+// hardware would generate. The same search serves every mode: live
+// routing reads the current word, the two-phase batch reads a word
+// frozen in phase 1, and the typed network reads a per-type word.
 //
 // The package also provides address-mapped tag routing (the
 // conventional-network baseline of the paper's blocking-probability
@@ -107,21 +113,16 @@ type Omega struct {
 
 	portBusy []bool
 	free     []int
-	// eligPorts counts ports with a free bus and ≥1 free resource — the
-	// OR of the paper's per-port Y signals, maintained incrementally so
-	// the core.AvailabilityHinter answer (and Acquire's resource-block
-	// shortcut) is O(1) instead of an O(N) mask scan.
-	eligPorts int
-	outOcc    [][]bool // [stage][wire] output-wire occupancy
+	// elig is the only store of port eligibility: bit j is set iff port
+	// j has an idle bus and ≥1 free resource (the paper's Y signal).
+	// Every grant and release keeps it current, so a box output wire's
+	// availability bit is reach[s][w]&elig and the
+	// core.AvailabilityHinter answer is elig != 0, both O(1).
+	elig   uint64
+	outOcc [][]bool // [stage][wire] output-wire occupancy
 	// reach[s][w] is the bitmask of output ports statically reachable
 	// from the wire leaving stage s at position w.
 	reach [][]uint64
-	// snap, when non-nil, freezes the availability bits: routing
-	// decisions consult the snapshot instead of live state. Set during
-	// AcquireBatch to model the paper's two-phase operation, where
-	// phase-2 requests propagate against possibly outdated phase-1
-	// status.
-	snap [][]bool
 
 	// pathPool recycles grant path records (the Partitioned dispatcher's
 	// pool pattern): Acquire pops one, the final ReleaseResource pushes
@@ -166,23 +167,19 @@ func New(n, perPort int, opts ...Option) *Omega {
 	}
 	stages := bits.Len(uint(n)) - 1
 	o := &Omega{
-		n:         stages,
-		size:      n,
-		perPort:   perPort,
-		policy:    LaneUpperFirst,
-		wiring:    OmegaWiring,
-		rnd:       rng.New(0x0177e6a5),
-		reroute:   true,
-		portBusy:  make([]bool, n),
-		free:      make([]int, n),
-		eligPorts: n,
-		outOcc:    make([][]bool, stages),
+		n:        stages,
+		size:     n,
+		perPort:  perPort,
+		policy:   LaneUpperFirst,
+		wiring:   OmegaWiring,
+		rnd:      rng.New(0x0177e6a5),
+		reroute:  true,
+		portBusy: make([]bool, n),
+		free:     make([]int, n),
+		outOcc:   make([][]bool, stages),
 
 		rejectsByStage: make([]int64, stages),
 		portGrants:     make([]int64, n),
-	}
-	for i := range o.free {
-		o.free[i] = perPort
 	}
 	for s := range o.outOcc {
 		o.outOcc[s] = make([]bool, n)
@@ -192,6 +189,7 @@ func New(n, perPort int, opts ...Option) *Omega {
 		opt(o)
 	}
 	o.buildReach()
+	o.Reset()
 	return o
 }
 
@@ -280,31 +278,16 @@ func (o *Omega) portEligible(j int) bool {
 	return !o.portBusy[j] && o.free[j] > 0
 }
 
-// eligibleMask returns the bitmask of currently eligible output ports.
+// sync recomputes port j's bit of the status word after its bus or
+// resource state changed.
 //
 //lint:hotpath
-func (o *Omega) eligibleMask() uint64 {
-	var m uint64
-	for j := 0; j < o.size; j++ {
-		if o.portEligible(j) {
-			m |= 1 << uint(j)
-		}
+func (o *Omega) sync(j int) {
+	if o.portEligible(j) {
+		o.elig |= 1 << uint(j)
+	} else {
+		o.elig &^= 1 << uint(j)
 	}
-	return m
-}
-
-// avail is the availability bit of the wire leaving stage s at position
-// w: whether any reachable output port is eligible. This is the
-// backward-propagated status register content of the paper's Fig. 9/10
-// boxes — live under instantaneous propagation (assumption (c)), or the
-// frozen phase-1 value during AcquireBatch.
-//
-//lint:hotpath
-func (o *Omega) avail(s, w int) bool {
-	if o.snap != nil {
-		return o.snap[s][w]
-	}
-	return o.reach[s][w]&o.eligibleMask() != 0
 }
 
 // pathGrant records the claimed wires, innermost (last stage) first.
@@ -342,18 +325,27 @@ func (o *Omega) putPath(pg *pathGrant) {
 //
 //lint:hotpath called once per allocation attempt in the event loop
 func (o *Omega) Acquire(pid int) (core.Grant, bool) {
+	return o.acquire(pid, o.elig, o.elig)
+}
+
+// acquire routes pid's request with box outputs judged by status and
+// last-stage ports by live (see route), then claims the port reached.
+// A zero status word is the phase-1 answer that every port is down:
+// the request fails as a resource block without entering the network.
+//
+//lint:hotpath the shared half of Acquire, AcquireBatch and AcquireType
+func (o *Omega) acquire(pid int, status, live uint64) (core.Grant, bool) {
 	if pid < 0 || pid >= o.size {
 		panic(fmt.Sprintf("omega: processor %d out of range", pid))
 	}
 	o.tel.Attempts++
-	if o.eligPorts == 0 {
-		// Phase-1 status already tells the processor to stay queued.
+	if status == 0 {
 		o.tel.Failures++
 		o.tel.ResourceBlock++
 		return core.Grant{}, false
 	}
 	pg := o.takePath()
-	port, ok := o.route(0, o.entry(pid), &pg.wires)
+	port, ok := o.route(0, o.entry(pid), status, live, &pg.wires)
 	if !ok {
 		o.putPath(pg)
 		o.tel.Failures++
@@ -361,15 +353,29 @@ func (o *Omega) Acquire(pid int) (core.Grant, bool) {
 		o.verify()
 		return core.Grant{}, false
 	}
-	invariant.Assert(!o.portBusy[port] && o.free[port] > 0, "omega",
+	// The paper's status-bit consistency guarantee: a forward-routed
+	// request never lands on a port whose status bit was clear —
+	// eligibility only decreases while a frozen word is held, so a
+	// port that is live-eligible at grant time had its bit set.
+	invariant.Assert(status&(1<<uint(port)) != 0, "omega",
+		"request granted port %d whose status bit was clear", port)
+	o.claim(port)
+	return core.Grant{Processor: pid, Port: port, Path: pg}, true
+}
+
+// claim reserves the bus and one resource of the eligible port a
+// request reached, and counts the grant.
+//
+//lint:hotpath
+func (o *Omega) claim(port int) {
+	invariant.Assert(o.portEligible(port), "omega",
 		"routed to ineligible port %d (busy=%v free=%d)", port, o.portBusy[port], o.free[port])
 	o.portBusy[port] = true
-	o.eligPorts-- // port was eligible (asserted/checked above)
+	o.elig &^= 1 << uint(port)
 	o.free[port]--
 	o.tel.Grants++
 	o.portGrants[port]++
 	o.verify()
-	return core.Grant{Processor: pid, Port: port, Path: pg}, true
 }
 
 // AcquireWouldFail implements core.AvailabilityHinter: when every
@@ -385,7 +391,7 @@ func (o *Omega) AcquireWouldFail(pid int) bool {
 	if pid < 0 || pid >= o.size {
 		panic(fmt.Sprintf("omega: processor %d out of range", pid))
 	}
-	if o.eligPorts > 0 {
+	if o.elig != 0 {
 		return false
 	}
 	o.tel.Attempts++
@@ -395,12 +401,14 @@ func (o *Omega) AcquireWouldFail(pid int) bool {
 }
 
 // route performs the availability-guided DFS from the input wire at
-// position pos of stage s. On success it claims the wires it used,
-// appends them to *wires (last stage first), and returns the output
-// port.
+// position pos of stage s. A box output wire w qualifies when it is
+// unoccupied and its availability bit, reach[s][w]&status, is set; a
+// last-stage wire is an output port and qualifies when its bit is set
+// in live. On success it claims the wires it used, appends them to
+// *wires (last stage first), and returns the output port.
 //
 //lint:hotpath the routing DFS runs inside every Acquire
-func (o *Omega) route(s, pos int, wires *[]int) (int, bool) {
+func (o *Omega) route(s, pos int, status, live uint64, wires *[]int) (int, bool) {
 	o.tel.BoxVisits++
 	outs := [2]int{pos, o.pair(s, pos)}
 	if outs[0] > outs[1] {
@@ -417,7 +425,7 @@ func (o *Omega) route(s, pos int, wires *[]int) (int, bool) {
 		}
 		if s == o.n-1 {
 			// out is an output port.
-			if !o.portEligible(out) {
+			if live&(1<<uint(out)) == 0 {
 				continue
 			}
 			o.outOcc[s][out] = true
@@ -425,11 +433,11 @@ func (o *Omega) route(s, pos int, wires *[]int) (int, bool) {
 			*wires = append(*wires, out)
 			return out, true
 		}
-		if !o.avail(s, out) {
+		if o.reach[s][out]&status == 0 {
 			continue
 		}
 		o.outOcc[s][out] = true
-		port, ok := o.route(s+1, o.next(s, out), wires)
+		port, ok := o.route(s+1, o.next(s, out), status, live, wires)
 		if ok {
 			//lint:ignore hotalloc append into the pooled record's retained capacity; pinned by TestOmegaAcquireZeroAlloc
 			*wires = append(*wires, out)
@@ -463,69 +471,15 @@ func (o *Omega) route(s, pos int, wires *[]int) (int, bool) {
 // The returned slices are parallel to pids; ok[i] reports whether
 // request i was granted.
 func (o *Omega) AcquireBatch(pids []int) ([]core.Grant, []bool) {
-	// Phase 1: snapshot the availability registers.
-	snap := make([][]bool, o.n)
-	for s := range snap {
-		snap[s] = make([]bool, o.size)
-		for w := 0; w < o.size; w++ {
-			snap[s][w] = o.avail(s, w)
-		}
-	}
-	o.snap = snap
-	defer func() { o.snap = nil }()
-
+	// Phase 1: every box output's register is reach&status, so freezing
+	// the status word freezes them all.
+	status := o.elig
 	grants := make([]core.Grant, len(pids))
 	oks := make([]bool, len(pids))
 	for i, pid := range pids {
-		grants[i], oks[i] = o.acquireStale(pid)
+		grants[i], oks[i] = o.acquire(pid, status, o.elig)
 	}
 	return grants, oks
-}
-
-// acquireStale is Acquire with the availability shortcut evaluated from
-// the frozen snapshot (the processor submitted because phase-1 status
-// said resources exist).
-//
-//lint:hotpath per-request half of the two-phase batch
-func (o *Omega) acquireStale(pid int) (core.Grant, bool) {
-	o.tel.Attempts++
-	anyAvail := false
-	for w := 0; w < o.size; w++ {
-		if o.snap[o.n-1][w] {
-			anyAvail = true
-			break
-		}
-	}
-	if !anyAvail {
-		o.tel.Failures++
-		o.tel.ResourceBlock++
-		return core.Grant{}, false
-	}
-	pg := o.takePath()
-	port, ok := o.route(0, o.entry(pid), &pg.wires)
-	if !ok {
-		o.putPath(pg)
-		o.tel.Failures++
-		o.tel.PathBlock++
-		o.verify()
-		return core.Grant{}, false
-	}
-	// The paper's status-bit consistency guarantee: a forward-routed
-	// request never lands on a port whose frozen availability bit was
-	// false — eligibility only decreases while the snapshot is held, so
-	// a port that is live-eligible at grant time must have had its bit
-	// set in phase 1.
-	invariant.Assert(o.snap[o.n-1][port], "omega",
-		"request granted port %d whose phase-1 availability bit was false", port)
-	invariant.Assert(!o.portBusy[port] && o.free[port] > 0, "omega",
-		"routed to ineligible port %d (busy=%v free=%d)", port, o.portBusy[port], o.free[port])
-	o.portBusy[port] = true
-	o.eligPorts-- // port was eligible (asserted/checked above)
-	o.free[port]--
-	o.tel.Grants++
-	o.portGrants[port]++
-	o.verify()
-	return core.Grant{Processor: pid, Port: port, Path: pg}, true
 }
 
 // AcquireTag routes a request from pid to the specific output port dst
@@ -542,7 +496,7 @@ func (o *Omega) AcquireTag(pid, dst int) (core.Grant, bool) {
 		panic("omega: AcquireTag index out of range")
 	}
 	o.tel.Attempts++
-	if !o.portEligible(dst) {
+	if o.elig&(1<<uint(dst)) == 0 {
 		o.tel.Failures++
 		o.tel.ResourceBlock++
 		return core.Grant{}, false
@@ -578,12 +532,7 @@ func (o *Omega) AcquireTag(pid, dst int) (core.Grant, bool) {
 	if port != dst {
 		panic("omega: tag routing reached wrong port")
 	}
-	o.portBusy[port] = true
-	o.eligPorts-- // port was eligible (asserted/checked above)
-	o.free[port]--
-	o.tel.Grants++
-	o.portGrants[port]++
-	o.verify()
+	o.claim(port)
 	// The tag loop collected the wires outermost-first; ReleasePath
 	// expects innermost-first, so reverse in place.
 	for i, j := 0, len(pg.wires)-1; i < j; i, j = i+1, j-1 {
@@ -608,7 +557,8 @@ func (o *Omega) verify() {
 // routed circuit claims exactly one output wire per stage), the
 // last-stage wire occupancy mirrors the port-busy flags (the wire
 // leaving stage n−1 at position w is port w), and free-resource
-// counts stay within [0, perPort].
+// counts stay within [0, perPort], and the status word matches a
+// bit-by-bit recount of the port state.
 func (o *Omega) VerifyState() error {
 	occ0 := 0
 	for w := 0; w < o.size; w++ {
@@ -641,15 +591,15 @@ func (o *Omega) VerifyState() error {
 				"port %d free-resource count %d outside [0,%d]", j, f, o.perPort)
 		}
 	}
-	elig := 0
+	var recount uint64
 	for j := 0; j < o.size; j++ {
 		if o.portEligible(j) {
-			elig++
+			recount |= 1 << uint(j)
 		}
 	}
-	if elig != o.eligPorts {
+	if recount != o.elig {
 		return invariant.Errorf("omega",
-			"eligible-port count drifted: incremental %d, recount %d", o.eligPorts, elig)
+			"status word drifted: incremental %#x, recount %#x", o.elig, recount)
 	}
 	return nil
 }
@@ -672,9 +622,7 @@ func (o *Omega) ReleasePath(g core.Grant) {
 		panic("omega: ReleasePath with idle port")
 	}
 	o.portBusy[g.Port] = false
-	if o.free[g.Port] > 0 {
-		o.eligPorts++
-	}
+	o.sync(g.Port)
 	o.verify()
 }
 
@@ -688,9 +636,7 @@ func (o *Omega) ReleaseResource(g core.Grant) {
 		panic("omega: ReleaseResource overflow")
 	}
 	o.free[g.Port]++
-	if o.free[g.Port] == 1 && !o.portBusy[g.Port] {
-		o.eligPorts++
-	}
+	o.sync(g.Port)
 	if pg, ok := g.Path.(*pathGrant); ok {
 		o.putPath(pg)
 	}
@@ -768,7 +714,7 @@ func (o *Omega) Reset() {
 		o.portBusy[i] = false
 		o.free[i] = o.perPort
 	}
-	o.eligPorts = o.size
+	o.elig = ^uint64(0) >> uint(64-o.size)
 	for s := range o.outOcc {
 		for w := range o.outOcc[s] {
 			o.outOcc[s][w] = false
@@ -794,15 +740,8 @@ func (o *Omega) SetResourceAvailability(j, freeCount int) {
 	if freeCount > o.perPort {
 		freeCount = o.perPort
 	}
-	wasEligible := o.portEligible(j)
 	o.free[j] = freeCount
-	if nowEligible := o.portEligible(j); nowEligible != wasEligible {
-		if nowEligible {
-			o.eligPorts++
-		} else {
-			o.eligPorts--
-		}
-	}
+	o.sync(j)
 }
 
 // FreeResources returns the current free-resource count at port j.

@@ -20,7 +20,7 @@ import (
 // accesses generalize address-mapped accesses (paper Section VII). This
 // equivalence is asserted in the tests.
 type TypedOmega struct {
-	net   *Omega // untyped substrate: wires, ports, occupancy
+	net   *Omega // untyped substrate: wires, ports, occupancy, telemetry
 	types int
 	// free[j][t]: free resources of type t behind port j.
 	free [][]int
@@ -29,7 +29,6 @@ type TypedOmega struct {
 	// pools its path records, so bound typed networks are allocation-free
 	// in steady state too.
 	tgPool []*typedGrant
-	tel    core.Telemetry
 }
 
 // NewTyped builds an N×N multistage RSIN whose output port j carries
@@ -65,8 +64,9 @@ func NewTyped(n int, pools [][]int, opts ...Option) *TypedOmega {
 	if total == 0 {
 		panic("omega: no resources in any pool")
 	}
-	// The substrate's per-port counters are unused; give it capacity 1
-	// everywhere and manage eligibility here.
+	// The substrate counts each port's reserved resources of any type
+	// against a capacity no port's pools exceed, so its status bit never
+	// hides a typed resource; per-type availability is managed here.
 	to.net = New(n, maxPool(pools), opts...)
 	return to
 }
@@ -144,85 +144,16 @@ func (to *TypedOmega) AcquireType(pid, t int) (core.Grant, bool) {
 	if t < 0 || t >= to.types {
 		panic(fmt.Sprintf("omega: type %d out of range", t))
 	}
-	if pid < 0 || pid >= to.net.size {
-		panic(fmt.Sprintf("omega: processor %d out of range", pid))
-	}
-	to.tel.Attempts++
-	elig := to.eligibleMaskType(t)
-	if elig == 0 {
-		to.tel.Failures++
-		to.tel.ResourceBlock++
-		return core.Grant{}, false
-	}
-	pg := to.net.takePath()
-	port, ok := to.routeTyped(0, to.net.entry(pid), elig, &pg.wires)
+	mask := to.eligibleMaskType(t)
+	g, ok := to.net.acquire(pid, mask, mask)
 	if !ok {
-		to.net.putPath(pg)
-		to.tel.Failures++
-		to.tel.PathBlock++
-		return core.Grant{}, false
+		return g, false
 	}
-	to.net.portBusy[port] = true
-	// The substrate's untyped free counters are untouched by typed
-	// grants (they stay at capacity), so substrate eligibility is
-	// exactly !portBusy — keep its incremental count in sync since
-	// ReleasePath below goes through the substrate and increments it.
-	to.net.eligPorts--
-	to.free[port][t]--
-	to.tel.Grants++
+	to.free[g.Port][t]--
 	tg := to.takeTG()
-	tg.inner = core.Grant{Processor: pid, Port: port, Path: pg}
+	tg.inner = g
 	tg.typ = t
-	return core.Grant{Processor: pid, Port: port, Path: tg}, true
-}
-
-// routeTyped is the DFS of route with a per-type eligibility mask.
-//
-//lint:hotpath
-func (to *TypedOmega) routeTyped(s, pos int, elig uint64, wires *[]int) (int, bool) {
-	o := to.net
-	to.tel.BoxVisits++
-	outs := [2]int{pos, o.pair(s, pos)}
-	if outs[0] > outs[1] {
-		outs[0], outs[1] = outs[1], outs[0]
-	}
-	first := 0
-	if o.policy == LaneRandom {
-		first = o.rnd.Intn(2)
-	}
-	for k := 0; k < 2; k++ {
-		out := outs[first^k]
-		if o.outOcc[s][out] {
-			continue
-		}
-		if s == o.n-1 {
-			if elig&(1<<uint(out)) == 0 {
-				continue
-			}
-			o.outOcc[s][out] = true
-			//lint:ignore hotalloc append into the pooled record's retained capacity; pinned by TestTypedAcquireZeroAlloc
-			*wires = append(*wires, out)
-			return out, true
-		}
-		// The type-t availability register of this output wire.
-		if o.reach[s][out]&elig == 0 {
-			continue
-		}
-		o.outOcc[s][out] = true
-		port, ok := to.routeTyped(s+1, o.next(s, out), elig, wires)
-		if ok {
-			//lint:ignore hotalloc append into the pooled record's retained capacity; pinned by TestTypedAcquireZeroAlloc
-			*wires = append(*wires, out)
-			return port, true
-		}
-		o.outOcc[s][out] = false
-		to.tel.Rejects++
-		to.tel.BoxVisits++
-		if !o.reroute {
-			return 0, false
-		}
-	}
-	return 0, false
+	return core.Grant{Processor: pid, Port: g.Port, Path: tg}, true
 }
 
 // ReleasePath frees the circuit; the typed resource keeps serving.
@@ -244,9 +175,7 @@ func (to *TypedOmega) ReleaseResource(g core.Grant) {
 		panic("omega: typed ReleaseResource overflow")
 	}
 	to.free[g.Port][tg.typ]++
-	if pg, ok := tg.inner.Path.(*pathGrant); ok {
-		to.net.putPath(pg)
-	}
+	to.net.ReleaseResource(tg.inner)
 	to.putTG(tg)
 }
 
@@ -278,8 +207,9 @@ func (to *TypedOmega) Name() string {
 	return fmt.Sprintf("TYPED-%s(%dx%d,t=%d)", to.net.wiring, to.net.size, to.net.size, to.types)
 }
 
-// Telemetry returns the typed network's counters.
-func (to *TypedOmega) Telemetry() core.Telemetry { return to.tel }
+// Telemetry returns the typed network's counters, which its routing
+// accumulates on the substrate.
+func (to *TypedOmega) Telemetry() core.Telemetry { return to.net.tel }
 
 // StatusOverhead returns the paper's per-request status overhead bound
 // for this network: O(t·log₂ N) — one availability bit per type on

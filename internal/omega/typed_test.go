@@ -1,6 +1,7 @@
 package omega
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -235,5 +236,71 @@ func TestTypedConservation(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSingleTypeMatchesUntyped pins the shared routing path: a typed
+// network whose every port carries one pool of r resources of a single
+// type must behave exactly like the untyped network of the same shape —
+// same grant outcome, port and claimed wires for every request, and the
+// same telemetry after every step — for both wirings and both lane
+// policies, driven by one random request/release sequence.
+func TestSingleTypeMatchesUntyped(t *testing.T) {
+	const n, r, steps = 16, 2, 3000
+	for _, w := range []Wiring{OmegaWiring, CubeWiring} {
+		for _, pol := range []LanePolicy{LaneUpperFirst, LaneRandom} {
+			for _, seed := range []uint64{1, 2, 3} {
+				opts := []Option{WithWiring(w), WithLanePolicy(pol), WithSeed(seed)}
+				plain := New(n, r, opts...)
+				typed := NewTyped(n, uniformPools(n, []int{r}), opts...)
+				src := rng.New(seed ^ 0x5eed)
+				type pair struct{ p, t core.Grant }
+				var inTx, inSvc []pair
+				for step := 0; step < steps; step++ {
+					switch src.Intn(3) {
+					case 0:
+						pid := src.Intn(n)
+						gp, okp := plain.Acquire(pid)
+						gt, okt := typed.AcquireType(pid, 0)
+						if okp != okt || gp.Port != gt.Port || gp.Processor != gt.Processor {
+							t.Fatalf("%v/%v seed %d step %d: untyped (%v, port %d) vs typed (%v, port %d)",
+								w, pol, seed, step, okp, gp.Port, okt, gt.Port)
+						}
+						if okp {
+							wp := gp.Path.(*pathGrant).wires
+							wt := gt.Path.(*typedGrant).inner.Path.(*pathGrant).wires
+							if fmt.Sprint(wp) != fmt.Sprint(wt) {
+								t.Fatalf("%v/%v seed %d step %d: wires %v vs %v", w, pol, seed, step, wp, wt)
+							}
+							inTx = append(inTx, pair{gp, gt})
+						}
+					case 1:
+						if len(inTx) > 0 {
+							i := src.Intn(len(inTx))
+							h := inTx[i]
+							inTx = append(inTx[:i], inTx[i+1:]...)
+							plain.ReleasePath(h.p)
+							typed.ReleasePath(h.t)
+							inSvc = append(inSvc, h)
+						}
+					case 2:
+						if len(inSvc) > 0 {
+							i := src.Intn(len(inSvc))
+							h := inSvc[i]
+							inSvc = append(inSvc[:i], inSvc[i+1:]...)
+							plain.ReleaseResource(h.p)
+							typed.ReleaseResource(h.t)
+						}
+					}
+					if plain.Telemetry() != typed.Telemetry() {
+						t.Fatalf("%v/%v seed %d step %d: telemetry diverged:\nuntyped %+v\ntyped   %+v",
+							w, pol, seed, step, plain.Telemetry(), typed.Telemetry())
+					}
+				}
+				if tel := plain.Telemetry(); tel.Grants == 0 || tel.Failures == 0 || (pol == LaneUpperFirst && tel.Rejects == 0) {
+					t.Errorf("%v/%v seed %d: sequence too tame to compare: %+v", w, pol, seed, tel)
+				}
+			}
+		}
 	}
 }

@@ -26,19 +26,29 @@
 // (default 0.05). Benchmarks added since the baseline was recorded are
 // reported but do not fail the gate; benchmarks that disappeared do,
 // so silent renames cannot dodge it.
+//
+// The gate then checks probe cost within the same run: every
+// "_probe=attr" or "_probe=series" row must be measured alongside its
+// probe-off sibling (the same name without the suffix), and a row of a
+// partitioned system must be at most probeCostLimit times slower than
+// it. Comparing rows of one run cancels the machine, so this bound
+// holds on any box.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 type result struct {
@@ -100,7 +110,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	if err := gate(os.Stdout, base, doc, *tolerance); err != nil {
+	err = errors.Join(gate(os.Stdout, base, doc, *tolerance), probeGate(os.Stdout, doc))
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
@@ -210,5 +221,69 @@ func gate(w *os.File, base, cur document, tolerance float64) error {
 		return fmt.Errorf("%s", msg)
 	}
 	fmt.Fprintf(w, "bench: %d benchmarks within %.0f%% of baseline\n", len(base.Results), tolerance*100)
+	return nil
+}
+
+// probeCostLimit is the largest slowdown a probe row of a partitioned
+// system may show against its probe-off sibling of the same run. There
+// the engine's per-Acquire reject lookup used to sum every
+// sub-network's telemetry: the p=4096 XBAR rows ran at 2.2× on a
+// 2-vCPU box, and run at 0.96–1.1× with the O(1) lookup.
+const probeCostLimit = 1.5
+
+// probeSuffixes mark the probe-on rows; stripping one gives the name of
+// the row's probe-off sibling.
+var probeSuffixes = []string{"_probe=attr", "_probe=series"}
+
+// shapeRe captures i, the sub-network count, from the p/i×j×k system in
+// a benchmark name ("4096/64x64x64_XBAR/1" → 64).
+var shapeRe = regexp.MustCompile(`/(\d+)x\d+x\d+_`)
+
+// partitioned reports whether the benchmark name runs a system of more
+// than one sub-network. Only those rows are held to probeCostLimit: on
+// a single network the reject lookup was always one counter, and a
+// probe row's excess is the recorder's own event handling (1.1–1.4× on
+// the p=16 OMEGA rows), too close to the limit to gate across machines.
+func partitioned(name string) bool {
+	m := shapeRe.FindStringSubmatch(name)
+	return m != nil && m[1] != "1"
+}
+
+// probeGate pairs every probe row of cur with its probe-off sibling and
+// returns an error when a sibling is missing or a partitioned row is
+// more than probeCostLimit times slower than its sibling.
+func probeGate(w io.Writer, cur document) error {
+	ns := map[string]float64{}
+	for _, r := range cur.Results {
+		ns[r.Name] = r.NsPerOp
+	}
+	var failures []string
+	for _, r := range cur.Results {
+		for _, suf := range probeSuffixes {
+			off, ok := strings.CutSuffix(r.Name, suf)
+			if !ok {
+				continue
+			}
+			base, ok := ns[off]
+			if !ok {
+				failures = append(failures, fmt.Sprintf("%s: probe-off sibling %s not measured", r.Name, off))
+				continue
+			}
+			ratio := r.NsPerOp / base
+			status := "ok"
+			switch {
+			case !partitioned(r.Name):
+				status = "not gated"
+			case ratio > probeCostLimit:
+				status = "PROBE COST"
+				failures = append(failures,
+					fmt.Sprintf("%s: %.2f× its probe-off sibling (limit %.2f×)", r.Name, ratio, probeCostLimit))
+			}
+			fmt.Fprintf(w, "bench: %-60s probe cost %.3f× (limit %.2f×)  %s\n", r.Name, ratio, probeCostLimit, status)
+		}
+	}
+	if len(failures) > 0 {
+		return fmt.Errorf("probe-cost gate failed:\n  %s", strings.Join(failures, "\n  "))
+	}
 	return nil
 }

@@ -124,16 +124,29 @@ func (c Config) String() string {
 		c.Processors, c.Networks, c.Inputs, c.Outputs, c.Type, c.PerPort)
 }
 
+// MaxSize caps the processor count p = i·j, the port count i·k and the
+// resource count i·k·r of a valid configuration. The engine and the
+// networks allocate per-processor and per-port state, so a larger
+// system could not be built; the cap also keeps every product far from
+// int overflow.
+const MaxSize = 1 << 24
+
 // Validate checks structural consistency: p = i·j, positive dimensions,
-// and per-type constraints (SBUS has one output port; OMEGA and CUBE
-// are square with a power-of-two size of at most 64, the width of the
-// network's port-status word).
+// sizes within MaxSize, and per-type constraints (SBUS has one output
+// port; OMEGA and CUBE are square with a power-of-two size of at most
+// 64, the width of the network's port-status word).
 func (c Config) Validate() error {
 	switch {
 	case c.Processors <= 0 || c.Networks <= 0 || c.Inputs <= 0 || c.Outputs <= 0 || c.PerPort <= 0:
 		return fmt.Errorf("config: %s has non-positive dimensions", c)
+	case c.Processors > MaxSize || c.Networks > MaxSize || c.Inputs > MaxSize || c.Outputs > MaxSize || c.PerPort > MaxSize:
+		// Each factor within MaxSize keeps i·j and i·k exact, and i·k
+		// within MaxSize keeps i·k·r exact, so no product below wraps.
+		return fmt.Errorf("config: %s exceeds the size limit %d", c, MaxSize)
 	case c.Processors != c.Networks*c.Inputs:
 		return fmt.Errorf("config: %s violates p = i·j", c)
+	case c.Networks*c.Outputs > MaxSize || c.Networks*c.Outputs*c.PerPort > MaxSize:
+		return fmt.Errorf("config: %s has more than %d ports or resources", c, MaxSize)
 	}
 	switch c.Type {
 	case SBUS:

@@ -69,13 +69,17 @@ func TestParseErrors(t *testing.T) {
 		"x/16x1x1 SBUS/2",
 		"16/16xAx1 SBUS/2",
 		"16/16x1x1 SBUS/y",
-		"16/4x1x1 SBUS/2",       // p ≠ i·j
-		"16/16x1x2 SBUS/2",      // SBUS k ≠ 1
-		"16/1x16x8 OMEGA/2",     // OMEGA j ≠ k
-		"12/1x12x12 OMEGA/2",    // OMEGA not power of two
-		"128/1x128x128 OMEGA/1", // OMEGA wider than its 64-bit status word
-		"128/1x128x128 CUBE/1",  // CUBE likewise
-		"16/16x1x1 SBUS/0",      // r ≤ 0
+		"16/4x1x1 SBUS/2",                  // p ≠ i·j
+		"16/16x1x2 SBUS/2",                 // SBUS k ≠ 1
+		"16/1x16x8 OMEGA/2",                // OMEGA j ≠ k
+		"12/1x12x12 OMEGA/2",               // OMEGA not power of two
+		"128/1x128x128 OMEGA/1",            // OMEGA wider than its 64-bit status word
+		"128/1x128x128 CUBE/1",             // CUBE likewise
+		"16/16x1x1 SBUS/0",                 // r ≤ 0
+		"2/1x2x4611686018427387904 XBAR/4", // i·k·r overflows int
+		"4/1x4x4 XBAR/4611686018427387905", // i·k·r wraps to 4
+		"16/1x16x16777217 XBAR/1",          // k over MaxSize
+		"2/1x2x8388608 XBAR/4",             // i·k·r over MaxSize
 	} {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", s)

@@ -80,6 +80,50 @@ type TelemetrySource interface {
 	Telemetry() Telemetry
 }
 
+// RejectSource is an optional Network extension for networks that can
+// reject a request inside the fabric (the paper's Omega reject/reroute
+// at an interchange box). Rejects returns the cumulative in-network
+// reject count of the fabric that serves processor pid — the same
+// counter Telemetry().Rejects sums — in O(1), so the engine can turn
+// rejects into probe events by reading it around each Acquire.
+//
+// It is an optimization, not a requirement: RejectsOf reads a network
+// without it through Telemetry().Rejects. Wrappers that decorate or
+// compose networks should forward it, as they forward
+// AvailabilityHinter. One that forwards only TelemetrySource still
+// reports every reject, at the price of a Telemetry call around each
+// Acquire, which for a Partitioned sums every sub-network.
+type RejectSource interface {
+	Rejects(pid int) int64
+}
+
+// RejectsOf returns the reject counter to read for n: n itself when it
+// implements RejectSource, else its Telemetry().Rejects (bus, crossbar
+// and wrappers that do not forward RejectSource), else a constant 0
+// for a network that keeps no telemetry at all.
+func RejectsOf(n Network) RejectSource {
+	switch s := n.(type) {
+	case RejectSource:
+		return s
+	case TelemetrySource:
+		return telemetryRejects{s}
+	}
+	return noRejects{}
+}
+
+// telemetryRejects reads the reject counter out of a network's full
+// Telemetry.
+type telemetryRejects struct{ src TelemetrySource }
+
+//lint:hotpath read around every Acquire when a probe is attached
+func (t telemetryRejects) Rejects(int) int64 { return t.src.Telemetry().Rejects }
+
+// noRejects is the counter of a network without telemetry.
+type noRejects struct{}
+
+//lint:hotpath read around every Acquire when a probe is attached
+func (noRejects) Rejects(int) int64 { return 0 }
+
 // AvailabilityHinter is an optional Network extension that lets the
 // discrete-event engine's incremental wake path skip hopeless retries
 // cheaply. It models the paper's status broadcast: a processor consults
@@ -132,6 +176,7 @@ type DetailSource interface {
 type Partitioned struct {
 	subs     []Network
 	hinters  []AvailabilityHinter // parallel to subs; nil entry = no hint
+	rejs     []RejectSource       // parallel to subs, from RejectsOf
 	perSub   int                  // processors per sub-network
 	ports    int
 	resTotal int
@@ -164,12 +209,15 @@ func NewPartitioned(subs []Network) *Partitioned {
 		res += s.TotalResources()
 	}
 	hinters := make([]AvailabilityHinter, len(subs))
+	rejs := make([]RejectSource, len(subs))
 	for i, s := range subs {
 		hinters[i], _ = s.(AvailabilityHinter)
+		rejs[i] = RejectsOf(s)
 	}
 	return &Partitioned{
 		subs:     subs,
 		hinters:  hinters,
+		rejs:     rejs,
 		perSub:   per,
 		ports:    ports,
 		resTotal: res,
@@ -228,6 +276,15 @@ func (p *Partitioned) AcquireWouldFail(pid int) bool {
 		return h.AcquireWouldFail(pid % p.perSub)
 	}
 	return false
+}
+
+// Rejects implements RejectSource with pid's own partition's counter:
+// an Acquire(pid) enters only that sub-network, so it is the only
+// counter the call can move.
+//
+//lint:hotpath read around every Acquire when a probe is attached
+func (p *Partitioned) Rejects(pid int) int64 {
+	return p.rejs[pid/p.perSub].Rejects(pid % p.perSub)
 }
 
 // ReleasePath implements Network.
@@ -301,3 +358,4 @@ var _ Network = (*Partitioned)(nil)
 var _ TelemetrySource = (*Partitioned)(nil)
 var _ DetailSource = (*Partitioned)(nil)
 var _ AvailabilityHinter = (*Partitioned)(nil)
+var _ RejectSource = (*Partitioned)(nil)

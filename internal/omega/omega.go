@@ -659,6 +659,12 @@ func (o *Omega) Name() string {
 // Telemetry implements core.TelemetrySource.
 func (o *Omega) Telemetry() core.Telemetry { return o.tel }
 
+// Rejects implements core.RejectSource: every processor is served by
+// the one fabric, so pid does not matter.
+//
+//lint:hotpath read around every Acquire when a probe is attached
+func (o *Omega) Rejects(int) int64 { return o.tel.Rejects }
+
 // DetailCounters implements core.DetailSource: rejects broken down by
 // the stage whose box bounced the request (where in the pipeline dead
 // ends concentrate) and the per-port grant distribution.
@@ -751,3 +757,4 @@ var _ core.Network = (*Omega)(nil)
 var _ core.TelemetrySource = (*Omega)(nil)
 var _ core.DetailSource = (*Omega)(nil)
 var _ core.AvailabilityHinter = (*Omega)(nil)
+var _ core.RejectSource = (*Omega)(nil)

@@ -252,5 +252,12 @@ func (b *boundTyped) TotalResources() int          { return b.to.TotalResources(
 func (b *boundTyped) Name() string                 { return b.to.Name() + "+bound" }
 func (b *boundTyped) Telemetry() core.Telemetry    { return b.to.Telemetry() }
 
+// Rejects implements core.RejectSource from the substrate, where the
+// typed routing counts its rejects.
+//
+//lint:hotpath
+func (b *boundTyped) Rejects(pid int) int64 { return b.to.net.Rejects(pid) }
+
 var _ core.Network = (*boundTyped)(nil)
 var _ core.TelemetrySource = (*boundTyped)(nil)
+var _ core.RejectSource = (*boundTyped)(nil)

@@ -8,6 +8,7 @@ import (
 	"rsin/internal/core"
 	"rsin/internal/crossbar"
 	"rsin/internal/invariant"
+	"rsin/internal/obs"
 	"rsin/internal/omega"
 	"rsin/internal/rng"
 )
@@ -176,6 +177,11 @@ func TestHotStructuresZeroAlloc(t *testing.T) {
 	}
 }
 
+// countProbe is a non-allocating probe: it only counts events.
+type countProbe struct{ n int64 }
+
+func (c *countProbe) Event(obs.Event) { c.n++ }
+
 // TestRunSteadyStateZeroAlloc is the end-to-end allocation proof: a
 // whole sim.Run's malloc count must not grow with the sample count.
 // Comparing a short and a 3× run of the same configuration cancels the
@@ -184,14 +190,20 @@ func TestHotStructuresZeroAlloc(t *testing.T) {
 // capacity design makes allocation-free. Buses and crossbars grant
 // without per-grant path records; omega networks and the Partitioned
 // combinator recycle their grant records through pools (warmed within
-// the short run, so the differential cancels the mints too).
+// the short run, so the differential cancels the mints too). The
+// PART-OMEGA+probe case attaches a counting probe, so the per-Acquire
+// reject lookups (core.Partitioned.Rejects into omega.Omega.Rejects)
+// and the event emission are pinned allocation-free as well.
 func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	invariant.Enable(false)
 	defer invariant.Enable(true)
-	mallocs := func(mk func() core.Network, mkq func() eventQueue, samples int) uint64 {
+	mallocs := func(mk func() core.Network, probe bool, mkq func() eventQueue, samples int) uint64 {
 		cfg := Config{
 			Lambda: 0.2, MuN: 2, MuS: 1,
 			Seed: 5, Warmup: 100, Samples: samples,
+		}
+		if probe {
+			cfg.Probe = &countProbe{}
 		}
 		runtime.GC()
 		var m0, m1 runtime.MemStats
@@ -202,24 +214,34 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return m1.Mallocs - m0.Mallocs
 	}
-	nets := map[string]func() core.Network{
-		"SBUS":  func() core.Network { return bus.New(64, 128) },
-		"XBAR":  func() core.Network { return crossbar.New(64, 32, 1) },
-		"OMEGA": func() core.Network { return omega.New(64, 2) },
-		"PART": func() core.Network {
+	nets := map[string]struct {
+		mk    func() core.Network
+		probe bool
+	}{
+		"SBUS":  {mk: func() core.Network { return bus.New(64, 128) }},
+		"XBAR":  {mk: func() core.Network { return crossbar.New(64, 32, 1) }},
+		"OMEGA": {mk: func() core.Network { return omega.New(64, 2) }},
+		"PART": {mk: func() core.Network {
 			subs := make([]core.Network, 4)
 			for i := range subs {
 				subs[i] = bus.New(16, 32)
 			}
 			return core.NewPartitioned(subs)
-		},
+		}},
+		"PART-OMEGA+probe": {mk: func() core.Network {
+			subs := make([]core.Network, 4)
+			for i := range subs {
+				subs[i] = omega.New(16, 2)
+			}
+			return core.NewPartitioned(subs)
+		}, probe: true},
 	}
-	for name, mk := range nets {
+	for name, nc := range nets {
 		for _, tq := range testQueues {
 			t.Run(name+"/"+tq.name, func(t *testing.T) {
 				const n = 20000
-				base := mallocs(mk, tq.mk, n)
-				big := mallocs(mk, tq.mk, 3*n)
+				base := mallocs(nc.mk, nc.probe, tq.mk, n)
+				big := mallocs(nc.mk, nc.probe, tq.mk, 3*n)
 				// Slack absorbs runtime-internal allocations (GC metadata,
 				// timer wheels); a single alloc per event would show up as
 				// tens of thousands.

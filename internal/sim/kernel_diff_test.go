@@ -61,6 +61,15 @@ type kernelDiffNet struct {
 // 64, so the large-p OMEGA rows are partitioned clusters of 64-wide
 // subnetworks — which is also the only configuration the figures use
 // past p=64.
+//
+// Two further rows cover the in-network reject path, the only source of
+// reject events and grant Aux counts, in cells that run with invariant
+// checks on. PART-OMEGA, two 8-port Omega partitions at p=16 (the
+// large-p OMEGA rows already partition), reaches the rejects through
+// core.Partitioned.Rejects; TYPED-OMEGA, a bound two-type Omega up to
+// the 64-port limit, through the bound typed network's Rejects. The
+// oracle counts rejects by diffing Telemetry(), so these rows prove the
+// O(1) counters report exactly the same.
 func kernelDiffNets(p int) []kernelDiffNet {
 	nets := []kernelDiffNet{
 		// Single shared bus, resource-rich: queueing is all path blocking.
@@ -88,6 +97,24 @@ func kernelDiffNets(p int) []kernelDiffNet {
 				subs[i] = omega.New(64, 2)
 			}
 			return core.NewPartitioned(subs)
+		}})
+	}
+	if p == 16 {
+		nets = append(nets, kernelDiffNet{"PART-OMEGA", func() core.Network {
+			return core.NewPartitioned([]core.Network{omega.New(8, 2), omega.New(8, 2)})
+		}})
+	}
+	if p <= 64 {
+		// Two types, one resource of each per port; even processors
+		// request type 0, odd ones type 1.
+		nets = append(nets, kernelDiffNet{"TYPED-OMEGA", func() core.Network {
+			pools := make([][]int, p)
+			typeOf := make([]int, p)
+			for j := range pools {
+				pools[j] = []int{1, 1}
+				typeOf[j] = j % 2
+			}
+			return omega.NewTyped(p, pools).Bind(typeOf)
 		}})
 	}
 	return nets

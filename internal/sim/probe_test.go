@@ -2,9 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"rsin/internal/bus"
+	"rsin/internal/core"
 	"rsin/internal/crossbar"
 	"rsin/internal/obs"
 	"rsin/internal/omega"
@@ -90,6 +92,63 @@ func TestProbeObservesOmegaRejects(t *testing.T) {
 	if probeRejects != res.Telemetry.Rejects {
 		t.Errorf("probe saw %d rejects, network telemetry counted %d",
 			probeRejects, res.Telemetry.Rejects)
+	}
+}
+
+// telemetryOnly forwards a network's TelemetrySource but not its
+// RejectSource, like a decorator written without knowing of it.
+type telemetryOnly struct {
+	core.Network
+	tel core.TelemetrySource
+}
+
+func (w telemetryOnly) Telemetry() core.Telemetry { return w.tel.Telemetry() }
+
+// TestProbeRejectsBehindTelemetryOnlyWrapper checks that a wrapper that
+// forwards only TelemetrySource loses no reject: alone and as the
+// sub-networks of a Partitioned, it must yield the bare network's exact
+// event stream, reject events and grant Aux counts included.
+func TestProbeRejectsBehindTelemetryOnlyWrapper(t *testing.T) {
+	wrap := func(o *omega.Omega) core.Network { return telemetryOnly{Network: o, tel: o} }
+	part := func(mk func(*omega.Omega) core.Network) core.Network {
+		subs := make([]core.Network, 4)
+		for i := range subs {
+			subs[i] = mk(omega.New(16, 1))
+		}
+		return core.NewPartitioned(subs)
+	}
+	bare := func(o *omega.Omega) core.Network { return o }
+	for _, c := range []struct {
+		name          string
+		bare, wrapped func() core.Network
+	}{
+		{"OMEGA", func() core.Network { return omega.New(16, 1) }, func() core.Network { return wrap(omega.New(16, 1)) }},
+		{"PART-OMEGA", func() core.Network { return part(bare) }, func() core.Network { return part(wrap) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			events := func(net core.Network) []obs.Event {
+				p := &captureProbe{}
+				cfg := probeCfg(3)
+				cfg.Lambda, cfg.MuN, cfg.Probe = 0.9, 2, p
+				if _, err := Run(net, cfg); err != nil {
+					t.Fatal(err)
+				}
+				return p.events
+			}
+			want, got := events(c.bare()), events(c.wrapped())
+			rejects := 0
+			for _, e := range want {
+				if e.Kind == obs.KindReject {
+					rejects++
+				}
+			}
+			if rejects == 0 {
+				t.Fatal("workload produced no reject events; nothing to compare")
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("event stream differs behind the wrapper (%d vs %d events)", len(want), len(got))
+			}
+		})
 	}
 }
 

@@ -277,12 +277,15 @@ type kernel struct {
 	// tasks, headSince → transmit start is network blocking.
 	headSince []float64
 
-	// Probe support. Omega-style in-network rejects are surfaced by
-	// diffing the network's telemetry counter around each Acquire; the
-	// diff (and the TelemetrySource lookup) happens only when a probe is
-	// attached, keeping the nil fast path to a single branch per site.
-	probe  obs.Probe
-	telSrc core.TelemetrySource
+	// Probe support. In-network rejects (the Omega reject/reroute) become
+	// probe events by reading the requesting processor's reject counter
+	// before and after its Acquire: for a network that implements
+	// core.RejectSource, one O(1) lookup each however many sub-networks
+	// the system has. rej is resolved by core.RejectsOf only when a
+	// probe is attached, so the nil-probe path stays a single branch per
+	// site.
+	probe obs.Probe
+	rej   core.RejectSource
 
 	delays    *stats.BatchMeans
 	responses *stats.BatchMeans
@@ -348,7 +351,7 @@ func newKernel(net core.Network, cfg Config, q eventQueue) *kernel {
 		k.wakeScratch = make([]int, p)
 	}
 	if k.probe != nil {
-		k.telSrc, _ = net.(core.TelemetrySource)
+		k.rej = core.RejectsOf(net)
 	}
 	// Steady-state zero-allocation support: the batch-means slices are
 	// the only unbounded accumulators left, so reserve their full-run
@@ -486,15 +489,6 @@ func (k *kernel) setQ(delta int) {
 func (k *kernel) setBusy(delta int) {
 	k.busyPorts += delta
 	k.busyTW.Set(k.now, float64(k.busyPorts))
-}
-
-// rejectCount reads the network's cumulative in-network reject counter
-// (zero when the network exports no telemetry).
-func (k *kernel) rejectCount() int64 {
-	if k.telSrc == nil {
-		return 0
-	}
-	return k.telSrc.Telemetry().Rejects
 }
 
 // onArrival queues a new task at e.pid, attempts to start it, and
@@ -681,13 +675,13 @@ func (k *kernel) tryStart(pid int) bool {
 	var rejBefore int64
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
-		rejBefore = k.rejectCount()
+		rejBefore = k.rej.Rejects(pid)
 	}
 	g, ok := k.net.Acquire(pid)
 	if !ok {
 		//lint:coldpath probe emission, nil on the measured fast path
 		if k.probe != nil {
-			if rej := k.rejectCount() - rejBefore; rej > 0 {
+			if rej := k.rej.Rejects(pid) - rejBefore; rej > 0 {
 				k.probe.Event(obs.Event{T: k.now, Kind: obs.KindReject, Pid: pid, Port: -1, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: rej})
 			}
 		}
@@ -696,7 +690,7 @@ func (k *kernel) tryStart(pid int) bool {
 	}
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
-		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindGrant, Pid: pid, Port: g.Port, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: k.rejectCount() - rejBefore})
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindGrant, Pid: pid, Port: g.Port, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: k.rej.Rejects(pid) - rejBefore})
 	}
 	k.blocked.remove(pid)
 	k.recordDelay(k.startTx(pid, g))

@@ -1,7 +1,7 @@
 // Command bench records and gates engine-throughput benchmarks.
 //
-// It shells out to `go test -bench`, runs each benchmark count times,
-// and keeps the minimum ns/op per benchmark — the min-of-N estimator,
+// It shells out to `go test -bench -benchmem`, runs each benchmark count
+// times, and keeps the minimum ns/op per benchmark — the min-of-N estimator,
 // which tracks the machine's best case and is far less noisy than the
 // mean under CI load. Results are written as a small JSON document
 // (schema rsin-bench/1, sorted by name, no timestamps) so the baseline
@@ -11,7 +11,8 @@
 //	  "schema": "rsin-bench/1",
 //	  "go_bench": "BenchmarkEngineThroughput|BenchmarkShardedRun",
 //	  "results": [
-//	    {"name": "BenchmarkEngineThroughput/16/16x1x1_SBUS/2", "ns_per_op": 12345678},
+//	    {"name": "BenchmarkEngineThroughput/16/16x1x1_SBUS/2", "ns_per_op": 12345678,
+//	     "bytes_per_op": 81920, "allocs_per_op": 95},
 //	    ...
 //	  ]
 //	}
@@ -51,9 +52,14 @@ import (
 	"strings"
 )
 
+// result is one benchmark's row. The memory fields come from -benchmem;
+// they are recorded next to ns/op for reading, and neither gate uses
+// them.
 type result struct {
-	Name    string  `json:"name"`
-	NsPerOp float64 `json:"ns_per_op"`
+	Name        string   `json:"name"`
+	NsPerOp     float64  `json:"ns_per_op"`
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
 type document struct {
@@ -117,51 +123,95 @@ func main() {
 	}
 }
 
-// benchLine matches one `go test -bench` result line, e.g.
-//
-//	BenchmarkEngineThroughput/16/16x1x1_SBUS/2-8   3   18351133 ns/op
-//
-// capturing the name (GOMAXPROCS suffix stripped) and the ns/op value.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
-
-// measure runs the benchmarks count times and keeps the minimum ns/op
-// seen for each name.
+// measure runs the benchmarks count times with -benchmem and parses the
+// output into a document.
 func measure(benchRe, pkg string, count int, benchtime string) (document, error) {
-	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", benchRe, "-count", strconv.Itoa(count), "-benchtime", benchtime, pkg)
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", benchRe, "-benchmem",
+		"-count", strconv.Itoa(count), "-benchtime", benchtime, pkg)
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
 	if err != nil {
 		return document{}, fmt.Errorf("go test -bench failed: %w", err)
 	}
-	mins := map[string]float64{}
+	doc, err := parse(raw)
+	if err != nil {
+		return document{}, err
+	}
+	if len(doc.Results) == 0 {
+		return document{}, fmt.Errorf("no benchmark results matched %q in %s", benchRe, pkg)
+	}
+	doc.GoBench = benchRe
+	return doc, nil
+}
+
+// gomaxprocsSuffix is the "-8" that go test appends to benchmark names.
+var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+
+// parse reads `go test -bench -benchmem` output, whose result lines look
+// like
+//
+//	BenchmarkEngineThroughput/16/16x1x1_SBUS/2-8   3   18351133 ns/op   5120 B/op   12 allocs/op
+//
+// with any custom metrics among the value-unit pairs. It keeps the
+// minimum of ns/op, B/op and allocs/op seen for each name (GOMAXPROCS
+// suffix stripped), each metric on its own; the memory fields stay nil
+// for a benchmark whose lines do not report them.
+func parse(raw []byte) (document, error) {
+	mins := map[string]*result{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return document{}, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
+		if _, err := strconv.Atoi(f[1]); err != nil {
+			continue
 		}
-		if cur, ok := mins[m[1]]; !ok || ns < cur {
-			mins[m[1]] = ns
+		vals := map[string]float64{}
+		for i := 2; i+1 < len(f); i += 2 {
+			switch unit := f[i+1]; unit {
+			case "ns/op", "B/op", "allocs/op":
+				v, err := strconv.ParseFloat(f[i], 64)
+				if err != nil {
+					return document{}, fmt.Errorf("bad %s in %q: %w", unit, sc.Text(), err)
+				}
+				vals[unit] = v
+			}
 		}
+		ns, ok := vals["ns/op"]
+		if !ok {
+			continue
+		}
+		name := gomaxprocsSuffix.ReplaceAllString(f[0], "")
+		r := mins[name]
+		if r == nil {
+			r = &result{Name: name, NsPerOp: ns}
+			mins[name] = r
+		}
+		r.NsPerOp = min(r.NsPerOp, ns)
+		r.BytesPerOp = minOpt(r.BytesPerOp, vals, "B/op")
+		r.AllocsPerOp = minOpt(r.AllocsPerOp, vals, "allocs/op")
 	}
 	if err := sc.Err(); err != nil {
 		return document{}, err
 	}
-	if len(mins) == 0 {
-		return document{}, fmt.Errorf("no benchmark results matched %q in %s", benchRe, pkg)
-	}
-	doc := document{Schema: schema, GoBench: benchRe}
-	for name, ns := range mins {
-		doc.Results = append(doc.Results, result{Name: name, NsPerOp: ns})
+	doc := document{Schema: schema}
+	for _, r := range mins {
+		doc.Results = append(doc.Results, *r)
 	}
 	sort.Slice(doc.Results, func(i, j int) bool { return doc.Results[i].Name < doc.Results[j].Name })
 	return doc, nil
+}
+
+// minOpt returns the smaller of the optional value cur (nil when not yet
+// seen) and vals[unit], if the line reported that unit.
+func minOpt(cur *float64, vals map[string]float64, unit string) *float64 {
+	v, ok := vals[unit]
+	if !ok || (cur != nil && *cur <= v) {
+		return cur
+	}
+	return &v
 }
 
 func readBaseline(path string) (document, error) {

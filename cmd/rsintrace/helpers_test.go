@@ -10,7 +10,7 @@ import (
 // writeTestAttr writes a one-run attribution file whose phase values
 // scale with the given factor (so two files with different scales diff
 // as a uniform regression).
-func writeTestAttr(t *testing.T, path string, scale float64) {
+func writeTestAttr(t testing.TB, path string, scale float64) {
 	t.Helper()
 	a := obs.NewAttrRecorder(4)
 	mk := func(req int64, resp, wait, block, tx, svc float64) obs.Event {
@@ -37,7 +37,7 @@ func writeTestAttr(t *testing.T, path string, scale float64) {
 }
 
 // writeTestSeries writes a one-run series file.
-func writeTestSeries(t *testing.T, path string) {
+func writeTestSeries(t testing.TB, path string) {
 	t.Helper()
 	s := obs.NewSeriesRecorder(2, 1)
 	s.Event(obs.Event{T: 0.5, Kind: obs.KindEnqueue, Pid: 0, Aux: 1})

@@ -151,7 +151,7 @@ func TestHotStructuresZeroAlloc(t *testing.T) {
 		t.Errorf("procTable steady state allocates %g allocs/run, want 0", avg)
 	}
 
-	q := newCalendarQueue()
+	q := newCalendarQueue(0)
 	now := 0.0
 	var seq uint64
 	for i := 0; i < p; i++ {
@@ -159,7 +159,8 @@ func TestHotStructuresZeroAlloc(t *testing.T) {
 		seq++
 	}
 	// Warm the ring: cycle the population through every bucket several
-	// times so each bucket slice reaches its peak capacity.
+	// times so the event arena reaches its peak node count and every
+	// later push reuses a node from the free list.
 	for i := 0; i < 8192; i++ {
 		e := q.pop()
 		now = e.time

@@ -118,7 +118,7 @@ func TestAttrAndSeriesBytesIdenticalAcrossKernels(t *testing.T) {
 		return ab.Bytes(), sb.Bytes()
 	}
 	heapAttr, heapSeries := run(&eventHeap{})
-	calAttr, calSeries := run(newCalendarQueue())
+	calAttr, calSeries := run(newCalendarQueue(0))
 	if !bytes.Equal(heapAttr, calAttr) {
 		t.Error("attribution reports differ between heap and calendar kernels")
 	}

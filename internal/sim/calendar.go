@@ -25,29 +25,61 @@ import "sort"
 // time is consulted, so two runs fed identical events behave
 // identically.
 type calendarQueue struct {
-	buckets  [][]event
-	mask     int     // len(buckets)-1; bucket count is a power of two
+	// Event arena: every pending event lives in one calNode of nodes,
+	// linked into its bucket's sorted list through next. Freed nodes
+	// are threaded through next into a LIFO free list, so once the
+	// arena has grown to the run's peak pending count, push and pop
+	// never allocate again (the taskArena idiom of arena.go).
+	nodes []calNode
+	free  int32 // head of the free list, arenaNil when empty
+
+	head     []int32 // ring of day-buckets: first node of each sorted list, arenaNil when empty
+	mask     int     // len(head)-1; bucket count is a power of two
 	width    float64 // simulated-time width of one bucket
 	invWidth float64 // 1/width, cached so epochOf multiplies instead of divides
 	cur      int64   // epoch (bucket-years since t=0) the next pop scans from
 	events   int
 	growAt   int     // resize up when events exceeds this
 	shrink   int     // resize down when events falls below this
-	scratch  []event // resize spill buffer, retained across resizes
+	scratch  []int32 // resize gather buffer of node indices, retained across resizes
+}
+
+// calNode is one arena slot: a pending event and its bucket-list
+// successor (free-list successor once freed).
+type calNode struct {
+	e    event
+	next int32
 }
 
 // calendarMinBuckets is the smallest ring size; small queues stay here
 // and never shrink-resize.
 const calendarMinBuckets = 8
 
-func newCalendarQueue() *calendarQueue {
+// newCalendarQueue returns an empty queue whose event arena has room
+// for capHint events before it first grows. The kernel passes p: one
+// arrival timer per processor is always pending.
+func newCalendarQueue(capHint int) *calendarQueue {
+	if capHint < 0 {
+		capHint = 0
+	}
 	q := &calendarQueue{
-		buckets: make([][]event, calendarMinBuckets),
-		mask:    calendarMinBuckets - 1,
+		nodes: make([]calNode, 0, capHint),
+		free:  arenaNil,
+		head:  newRing(calendarMinBuckets),
+		mask:  calendarMinBuckets - 1,
 	}
 	q.setWidth(1)
 	q.setThresholds()
 	return q
+}
+
+// newRing returns n empty day-buckets.
+func newRing(n int) []int32 {
+	h := make([]int32, n)
+	for i := range h {
+		h[i] = arenaNil
+	}
+	return h
 }
 
 //lint:hotpath
@@ -75,8 +107,8 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// push files e into its day-bucket, keeping the bucket sorted by
-// (time, seq).
+// push files e into its day-bucket, linking it into the bucket's list
+// in (time, seq) order.
 //
 //lint:hotpath
 func (q *calendarQueue) push(e event) {
@@ -89,23 +121,41 @@ func (q *calendarQueue) push(e event) {
 		// empty queue, jumping the cursor forward skips the dead years.
 		q.cur = ep
 	}
-	//lint:ignore hotalloc bucket growth stops once the ring fits the pending set (resize rebalances); pinned by TestHotStructuresZeroAlloc
-	b := append(q.buckets[int(ep)&q.mask], e)
-	// Backward shift to the insertion point; ties sort after existing
-	// members (seq is strictly increasing, so a tie on time always
-	// inserts last among its equals). Buckets hold ~1 event on average
-	// and the simulator pushes mostly-ascending times, so the loop body
-	// almost never runs — a backward scan beats a binary search here.
-	for i := len(b) - 1; i > 0 && eventLess(e, b[i-1]); i-- {
-		b[i] = b[i-1]
-		b[i-1] = e
+	n := q.alloc(e)
+	// Walk to the insertion point; ties sort after existing members
+	// (seq is strictly increasing, so a tie on time always links in
+	// last among its equals).
+	bi := int(ep) & q.mask
+	prev, next := arenaNil, q.head[bi]
+	for next != arenaNil && !eventLess(e, q.nodes[next].e) {
+		prev, next = next, q.nodes[next].next
 	}
-	q.buckets[int(ep)&q.mask] = b
+	q.nodes[n].next = next
+	if prev == arenaNil {
+		q.head[bi] = n
+	} else {
+		q.nodes[prev].next = n
+	}
 	q.events++
 	if q.events > q.growAt {
 		//lint:ignore hotalloc amortized O(1) ring rebuild, doubling thresholds; pinned by TestHotStructuresZeroAlloc
 		q.resize()
 	}
+}
+
+// alloc stores e in a free arena node, growing the arena only when the
+// free list is empty, and returns the node's index.
+//
+//lint:hotpath
+func (q *calendarQueue) alloc(e event) int32 {
+	if i := q.free; i != arenaNil {
+		q.free = q.nodes[i].next
+		q.nodes[i].e = e
+		return i
+	}
+	//lint:ignore hotalloc arena growth stops at the run's peak pending-event count; pinned by TestHotStructuresZeroAlloc
+	q.nodes = append(q.nodes, calNode{e: e})
+	return int32(len(q.nodes) - 1)
 }
 
 // pop removes and returns the (time, seq)-minimum event. The queue must
@@ -119,55 +169,37 @@ func (q *calendarQueue) pop() event {
 	// bucket minima, so an event of year ep can never hide behind one
 	// from year ep+ringSize.
 	ep := q.cur
+	bi := -1
 	for i := 0; i <= q.mask; i++ {
-		bi := int(ep) & q.mask
-		b := q.buckets[bi]
-		if len(b) > 0 && q.epochOf(b[0].time) == ep {
-			q.cur = ep
-			q.events--
-			if q.events < q.shrink {
-				e := b[0]
-				q.removeHead(bi)
-				//lint:ignore hotalloc amortized O(1) ring rebuild, halving thresholds; pinned by TestHotStructuresZeroAlloc
-				q.resize()
-				return e
-			}
-			return q.removeHead(bi)
+		b := int(ep) & q.mask
+		if h := q.head[b]; h != arenaNil && q.epochOf(q.nodes[h].e.time) == ep {
+			bi = b
+			break
 		}
 		ep++
 	}
-	// Sparse tail: nothing within one full ring revolution of the
-	// cursor. Find the global minimum head directly and jump the
-	// cursor to its year.
-	best, bi := event{}, -1
-	for i := range q.buckets {
-		b := q.buckets[i]
-		if len(b) == 0 {
-			continue
+	if bi < 0 {
+		// Sparse tail: nothing within one full ring revolution of the
+		// cursor. Find the global minimum head directly and jump the
+		// cursor to its year.
+		for b, h := range q.head {
+			if h != arenaNil && (bi < 0 || eventLess(q.nodes[h].e, q.nodes[q.head[bi]].e)) {
+				bi = b
+			}
 		}
-		if bi == -1 || eventLess(b[0], best) {
-			best, bi = b[0], i
-		}
+		ep = q.epochOf(q.nodes[q.head[bi]].e.time)
 	}
-	q.cur = q.epochOf(best.time)
+	q.cur = ep
+	h := q.head[bi]
+	e := q.nodes[h].e
+	q.head[bi] = q.nodes[h].next
+	q.nodes[h].next = q.free
+	q.free = h
 	q.events--
 	if q.events < q.shrink {
-		q.removeHead(bi)
 		//lint:ignore hotalloc amortized O(1) ring rebuild, halving thresholds; pinned by TestHotStructuresZeroAlloc
 		q.resize()
-		return best
 	}
-	return q.removeHead(bi)
-}
-
-// removeHead pops bucket bi's head, retaining the bucket's capacity.
-//
-//lint:hotpath
-func (q *calendarQueue) removeHead(bi int) event {
-	b := q.buckets[bi]
-	e := b[0]
-	copy(b, b[1:])
-	q.buckets[bi] = b[:len(b)-1]
 	return e
 }
 
@@ -184,37 +216,45 @@ func (q *calendarQueue) setThresholds() {
 // resize rebuilds the ring for the current event count: the bucket
 // count tracks the population (so a year of buckets spans roughly the
 // whole pending set) and the width is re-estimated from the live
-// population's average event separation. Events are redistributed in
-// globally sorted order, which lands each bucket pre-sorted.
+// population's average event separation. Only the lists are rebuilt;
+// events stay in their arena nodes. Nodes are pushed onto the front of
+// their new buckets in descending (time, seq) order, which lands each
+// list sorted.
 func (q *calendarQueue) resize() {
 	q.scratch = q.scratch[:0]
-	for i := range q.buckets {
-		q.scratch = append(q.scratch, q.buckets[i]...)
-		q.buckets[i] = q.buckets[i][:0]
+	for i, h := range q.head {
+		for ; h != arenaNil; h = q.nodes[h].next {
+			q.scratch = append(q.scratch, h)
+		}
+		q.head[i] = arenaNil
 	}
-	sort.Slice(q.scratch, func(i, j int) bool { return eventLess(q.scratch[i], q.scratch[j]) })
+	sort.Slice(q.scratch, func(i, j int) bool {
+		return eventLess(q.nodes[q.scratch[i]].e, q.nodes[q.scratch[j]].e)
+	})
 
 	n := calendarMinBuckets
 	for n < len(q.scratch) {
 		n <<= 1
 	}
 	if n != q.mask+1 {
-		q.buckets = make([][]event, n)
+		q.head = newRing(n)
 		q.mask = n - 1
 	}
 	q.setThresholds()
 	q.setWidth(q.estimateWidth())
 	if len(q.scratch) > 0 {
-		q.cur = q.epochOf(q.scratch[0].time)
+		q.cur = q.epochOf(q.nodes[q.scratch[0]].e.time)
 	}
-	for _, e := range q.scratch {
-		b := &q.buckets[int(q.epochOf(e.time))&q.mask]
-		*b = append(*b, e)
+	for i := len(q.scratch) - 1; i >= 0; i-- {
+		x := q.scratch[i]
+		b := int(q.epochOf(q.nodes[x].e.time)) & q.mask
+		q.nodes[x].next = q.head[b]
+		q.head[b] = x
 	}
 }
 
-// estimateWidth derives the bucket width from the sorted event
-// population in scratch: half the average separation between the
+// estimateWidth derives the bucket width from the event population
+// whose node indices scratch holds in sorted order: half the average separation between the
 // earliest and latest pending events, clamped so bucket-year numbers
 // stay far from int64 overflow even for degenerate spans. Brown's
 // classic tuning is ~3 average separations, but the simulator's
@@ -230,7 +270,8 @@ func (q *calendarQueue) estimateWidth() float64 {
 	if len(s) < 2 {
 		return 1
 	}
-	span := s[len(s)-1].time - s[0].time
+	first, last := q.nodes[s[0]].e.time, q.nodes[s[len(s)-1]].e.time
+	span := last - first
 	w := span / float64(2*(len(s)-1))
 	// Degenerate spans (all-tied timestamps) fall back to the previous
 	// width; widths tiny relative to the absolute times would overflow
@@ -241,8 +282,8 @@ func (q *calendarQueue) estimateWidth() float64 {
 		}
 		return 1
 	}
-	if max := s[len(s)-1].time; max > 0 {
-		if floor := max / (1 << 40); w < floor {
+	if last > 0 {
+		if floor := last / (1 << 40); w < floor {
 			w = floor
 		}
 	}

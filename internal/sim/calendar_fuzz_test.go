@@ -6,10 +6,12 @@ import "testing"
 // heap side by side through the same operation sequence: every pop must
 // return the identical event from both — same time, same seq, so
 // timestamp ties resolve the same way — and draining at the end must
-// yield the identical sequence. The corpus starts from FuzzEventHeap's
-// seeds (same byte-pair encoding) plus entries that force the calendar
-// through its grow/shrink resizes, the sparse global-minimum fallback,
-// and all-tied degenerate widths.
+// yield the identical sequence. After every operation the event arena
+// must balance (checkArena): live nodes plus free-list length equal the
+// arena length. The corpus starts from FuzzEventHeap's seeds (same
+// byte-pair encoding) plus entries that force the calendar through its
+// grow/shrink resizes, the sparse global-minimum fallback, and all-tied
+// degenerate widths.
 func FuzzCalendarVsHeap(f *testing.F) {
 	// FuzzEventHeap's corpus.
 	f.Add([]byte{})
@@ -30,7 +32,7 @@ func FuzzCalendarVsHeap(f *testing.F) {
 	// All-tied timestamps: degenerate span, width estimation falls back.
 	f.Add([]byte{0, 7, 2, 7, 4, 7, 6, 7, 8, 7, 1, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cal := newCalendarQueue()
+		cal := newCalendarQueue(0)
 		var h eventHeap
 		var seq uint64
 		for i := 0; i+1 < len(data); i += 2 {
@@ -52,6 +54,9 @@ func FuzzCalendarVsHeap(f *testing.F) {
 			}
 			if cal.len() != h.len() {
 				t.Fatalf("count diverged: calendar %d vs heap %d", cal.len(), h.len())
+			}
+			if err := cal.checkArena(); err != nil {
+				t.Fatalf("after op %d: %v", i/2, err)
 			}
 		}
 		for h.len() > 0 {

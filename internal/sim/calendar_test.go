@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"rsin/internal/rng"
@@ -10,7 +11,7 @@ import (
 // pushed at the same time must pop in push (seq) order, even when the
 // pushes interleave with pops and other timestamps.
 func TestCalendarTieOrder(t *testing.T) {
-	q := newCalendarQueue()
+	q := newCalendarQueue(0)
 	var seq uint64
 	push := func(tm float64) event {
 		e := event{time: tm, seq: seq, pid: int(seq)}
@@ -39,7 +40,7 @@ func TestCalendarTieOrder(t *testing.T) {
 // the scan cursor, pushing an earlier event must make it the next pop
 // rather than being orphaned behind the cursor.
 func TestCalendarRewind(t *testing.T) {
-	q := newCalendarQueue()
+	q := newCalendarQueue(0)
 	q.push(event{time: 10, seq: 0})
 	q.push(event{time: 20, seq: 1})
 	if got := q.pop(); got.time != 10 {
@@ -61,7 +62,7 @@ func TestCalendarRewind(t *testing.T) {
 // and the floor never drops below calendarMinBuckets. Pop order stays
 // globally sorted throughout.
 func TestCalendarGrowShrink(t *testing.T) {
-	q := newCalendarQueue()
+	q := newCalendarQueue(0)
 	const n = 200
 	for i := 0; i < n; i++ {
 		q.push(event{time: float64((i * 37) % n), seq: uint64(i)})
@@ -89,7 +90,7 @@ func TestCalendarGrowShrink(t *testing.T) {
 // separated by far more than one ring revolution of bucket-years, so
 // the cursor scan finds nothing and must jump.
 func TestCalendarSparse(t *testing.T) {
-	q := newCalendarQueue()
+	q := newCalendarQueue(0)
 	times := []float64{0.5, 1e6, 3e9, 7e12}
 	for i, tm := range times {
 		q.push(event{time: tm, seq: uint64(i)})
@@ -106,7 +107,7 @@ func TestCalendarSparse(t *testing.T) {
 // must fall back rather than divide the year by zero, and order (by
 // seq) must survive the redistribution.
 func TestCalendarDegenerateWidth(t *testing.T) {
-	q := newCalendarQueue()
+	q := newCalendarQueue(0)
 	const n = 50 // crosses the initial grow threshold mid-stream
 	for i := 0; i < n; i++ {
 		q.push(event{time: 42, seq: uint64(i)})
@@ -127,7 +128,7 @@ func TestCalendarDegenerateWidth(t *testing.T) {
 func TestCalendarVsHeapRandom(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		src := rng.New(seed)
-		cal := newCalendarQueue()
+		cal := newCalendarQueue(0)
 		var h eventHeap
 		var seq uint64
 		now := 0.0
@@ -164,5 +165,166 @@ func TestCalendarVsHeapRandom(t *testing.T) {
 				t.Fatalf("seed %d drain: calendar %+v, heap %+v", seed, got, want)
 			}
 		}
+	}
+}
+
+// checkArena verifies the event arena's bookkeeping: every bucket list
+// is sorted by (time, seq) and holds only events filed under that
+// bucket, the lists together hold exactly len() events, and live nodes
+// plus the free list account for every node of the arena.
+func (q *calendarQueue) checkArena() error {
+	limit := len(q.nodes) // any longer walk has hit a cycle
+	live := 0
+	for b, h := range q.head {
+		prev := arenaNil
+		for ; h != arenaNil; h = q.nodes[h].next {
+			if live++; live > limit {
+				return fmt.Errorf("bucket lists hold more than the %d arena nodes", limit)
+			}
+			e := q.nodes[h].e
+			if bi := int(q.epochOf(e.time)) & q.mask; bi != b {
+				return fmt.Errorf("event %+v filed in bucket %d, belongs in %d", e, b, bi)
+			}
+			if prev != arenaNil && !eventLess(q.nodes[prev].e, e) {
+				return fmt.Errorf("bucket %d out of order: %+v before %+v", b, q.nodes[prev].e, e)
+			}
+			prev = h
+		}
+	}
+	free := 0
+	for f := q.free; f != arenaNil; f = q.nodes[f].next {
+		if free++; free > limit {
+			return fmt.Errorf("free list longer than the %d arena nodes", limit)
+		}
+	}
+	if live != q.events {
+		return fmt.Errorf("bucket lists hold %d events, len() = %d", live, q.events)
+	}
+	if live+free != len(q.nodes) {
+		return fmt.Errorf("%d live + %d free nodes, arena holds %d", live, free, len(q.nodes))
+	}
+	return nil
+}
+
+// retainedEvents is the number of events the queue's storage can hold
+// without growing: the memory it keeps for the rest of the run.
+func (q *calendarQueue) retainedEvents() int { return cap(q.nodes) }
+
+// kernelMix is the pending-event mix of a p-processor run at the
+// benchmark point (ρ = 0.8, μn = 1, μs = 0.1, one resource per
+// processor), ignoring queueing: one exponential arrival timer per
+// processor, and per arrival a transmit completion at rate μn followed
+// by a service completion at rate μs, both clustered near now.
+type kernelMix struct {
+	lambda, muN, muS float64
+}
+
+func newKernelMix() kernelMix {
+	const muN, muS = 1, 0.1
+	return kernelMix{lambda: 0.8 / (1/muN + 1/muS), muN: muN, muS: muS}
+}
+
+// rate returns the rate of the exponential delay after which an event
+// of kind k is scheduled.
+func (m kernelMix) rate(k eventKind) float64 {
+	switch k {
+	case evTxDone:
+		return m.muN
+	case evSvcDone:
+		return m.muS
+	}
+	return m.lambda
+}
+
+// TestCalendarMemoryTracksPopulation drives the queue with the
+// simulator's skewed pending set — 4 096 exponential arrival timers
+// plus transmit and service completions clustered near now — through
+// at least two revolutions of the ring, and requires the storage the
+// queue retains to stay within 2× the peak pending population. A
+// design that keeps one growable slice per bucket fails this: every
+// bucket the cursor passes grows to the dense region's occupancy, and
+// the summed capacities reach about 20× the population.
+func TestCalendarMemoryTracksPopulation(t *testing.T) {
+	const p = 4096
+	src := rng.New(11)
+	mix := newKernelMix()
+	q := newCalendarQueue(p)
+	var seq uint64
+	push := func(now float64, k eventKind, pid int) {
+		q.push(event{time: now + src.Exp(mix.rate(k)), seq: seq, kind: k, pid: pid})
+		seq++
+	}
+	for pid := 0; pid < p; pid++ {
+		push(0, evArrival, pid)
+	}
+	peak, start := q.len(), q.cur
+	for step := 0; q.cur-start < 2*int64(q.mask+1); step++ {
+		if step == 4_000_000 {
+			t.Fatalf("cursor advanced only %d epochs of a %d-bucket ring in %d pops", q.cur-start, q.mask+1, step)
+		}
+		e := q.pop()
+		switch e.kind {
+		case evArrival:
+			push(e.time, evArrival, e.pid)
+			push(e.time, evTxDone, e.pid)
+		case evTxDone:
+			push(e.time, evSvcDone, e.pid)
+		}
+		if n := q.len(); n > peak {
+			peak = n
+		}
+	}
+	if got := q.retainedEvents(); got > 2*peak {
+		t.Errorf("queue retains storage for %d events, %.1f× the peak population of %d (limit 2×)",
+			got, float64(got)/float64(peak), peak)
+	}
+}
+
+// BenchmarkCalendarHold measures the queue layer alone with the classic
+// hold model: each op pops the minimum event and pushes it back at
+// now + an exponential increment whose rate depends on its kind, so the
+// pending set stays at n events in the arrival/transmit/service
+// proportions of a kernel run (kernelMix). The pending sizes match
+// p = 16, 1024 and 4096. The queue is filled and cycled through its
+// steady state before the timer starts. At 16 pending the queue never
+// crosses its first grow threshold, so it keeps the initial width of 1
+// and most pops take the sparse-tail scan.
+func BenchmarkCalendarHold(b *testing.B) {
+	for _, n := range []int{16, 1024, 4096} {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			src := rng.New(3)
+			mix := newKernelMix()
+			// Kinds in the steady-state proportions 1 : λ/μn : λ/μs.
+			weights := [3]float64{1, mix.lambda / mix.muN, mix.lambda / mix.muS}
+			sum := weights[0] + weights[1] + weights[2]
+			q := newCalendarQueue(n)
+			var seq uint64
+			hold := func(now float64, k eventKind, pid int) {
+				q.push(event{time: now + src.Exp(mix.rate(k)), seq: seq, kind: k, pid: pid})
+				seq++
+			}
+			for i := 0; i < n; i++ {
+				k, u := evArrival, src.Float64()*sum
+				switch {
+				case u >= weights[0]+weights[1]:
+					k = evSvcDone
+				case u >= weights[0]:
+					k = evTxDone
+				}
+				hold(0, k, i)
+			}
+			for i := 0; i < 16*n; i++ {
+				e := q.pop()
+				hold(e.time, e.kind, e.pid)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := q.pop()
+				hold(e.time, e.kind, e.pid)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(q.retainedEvents()), "events-retained")
+		})
 	}
 }

@@ -38,7 +38,7 @@ var testQueues = []struct {
 	mk   func() eventQueue
 }{
 	{"heap", func() eventQueue { return &eventHeap{} }},
-	{"calendar", func() eventQueue { return newCalendarQueue() }},
+	{"calendar", func() eventQueue { return newCalendarQueue(0) }},
 }
 
 // runOnQueue is Run with q as the pending-event structure: the test

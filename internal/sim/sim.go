@@ -207,10 +207,13 @@ func Run(net core.Network, cfg Config) (res Result, err error) {
 			panic(r)
 		}
 	}()
-	if err := cfg.validate(net.Processors()); err != nil {
+	p := net.Processors()
+	if err := cfg.validate(p); err != nil {
 		return Result{}, err
 	}
-	return newKernel(net, cfg, newCalendarQueue()).run()
+	// One arrival timer per processor is always pending, so p sizes the
+	// queue's event arena the way it sizes the processor table.
+	return newKernel(net, cfg, newCalendarQueue(p)).run()
 }
 
 // validate rejects configurations the kernel cannot run. Every float

@@ -182,9 +182,13 @@ func (x *Crossbar) Acquire(pid int) (core.Grant, bool) {
 			return core.Grant{}, false
 		}
 	}
-	invariant.Assert(!x.busBusy[best] && x.free[best] > 0, "crossbar",
-		"policy %v granted ineligible port %d (busy=%v free=%d)",
-		x.policy, best, x.busBusy[best], x.free[best])
+	// Guarded so the boxed arguments are never built with checks off:
+	// boxing a port number ≥ 256 allocates.
+	if invariant.Enabled() {
+		invariant.Assert(!x.busBusy[best] && x.free[best] > 0, "crossbar",
+			"policy %v granted ineligible port %d (busy=%v free=%d)",
+			x.policy, best, x.busBusy[best], x.free[best])
+	}
 	x.busBusy[best] = true
 	x.clearElig(best)
 	x.free[best]--

@@ -17,8 +17,11 @@ import (
 // mark, directly or transitively through the call graph. Findings for
 // transitive reaches carry the full hot-path→allocation call chain.
 //
-// Escape hatches, in order of preference: calls into the invariant
-// package and panic branches are structurally cold; //lint:coldpath on
+// Escape hatches, in order of preference: panic branches and
+// `if invariant.Enabled() { … }` guards are structurally cold, and calls
+// into the invariant package are cold callees — but their argument
+// expressions are still checked, since boxing into Assert's ...any
+// happens at the call site even with checks off; //lint:coldpath on
 // a statement excises a rare-path region (probe emission, saturation
 // abort); //lint:ignore hotalloc <reason> suppresses a single finding —
 // reserved for amortized-growth sites whose reason must cite the
@@ -47,7 +50,7 @@ func runHotAlloc(p *Pass) error {
 		}
 	}
 
-	skip := summary.ColdSkipper(p.Info, coldPkgs)
+	skip := summary.HotSkipper(p.Info, coldPkgs)
 	// Fold //lint:coldpath statement spans into the skip predicate; the
 	// marks are honored here, at reporting level, but deliberately not
 	// in summaries (a function's may-allocate fact must not depend on
@@ -119,6 +122,9 @@ func checkHotRegion(p *Pass, node *callgraph.Node, root ast.Node, skip func(ast.
 				// Hot callees are proven at their own definition; a
 				// second report here would double-count every finding.
 				continue
+			}
+			if e.Callee.Pkg != nil && coldPkgs[e.Callee.Pkg.Path] {
+				continue // cold callee; its arguments were scanned above
 			}
 			f := u.Sums.Facts(e.Callee)
 			if f.Allocates {

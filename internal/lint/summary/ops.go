@@ -61,40 +61,60 @@ func VisibleCalls(root ast.Node, skip func(ast.Node) bool) map[*ast.CallExpr]boo
 }
 
 // ColdSkipper returns the structural cold-subtree predicate shared by
-// summary computation and the hotalloc analyzer:
+// summary computation and the puredet analyzer:
 //
-//   - calls into a cold package (the invariant runtime, compiled to
-//     no-ops without its build tag), including their argument boxing;
+//   - calls into a cold package (the invariant runtime, whose checks
+//     are off in production builds), including their argument boxing;
 //   - if-statements whose condition calls into a cold package (the
 //     `if invariant.Enabled() { … }` guard idiom);
 //   - panic(...) subtrees — a panicking branch is off the steady-state
 //     path by definition, and the simulator's bounds-guard panics all
 //     format their message lazily inside one.
 func ColdSkipper(info *types.Info, coldPkgs map[string]bool) func(ast.Node) bool {
-	callIsCold := func(call *ast.CallExpr) bool {
+	return coldSkipper(info, coldPkgs, true)
+}
+
+// HotSkipper is ColdSkipper for the hot regions the hotalloc analyzer
+// reports on. A call into a cold package stays a cold callee, but its
+// argument expressions are scanned like any other hot code: Go builds
+// the arguments — boxing values into a variadic ...any and allocating
+// its slice — at the call site, before the callee can return early, so
+// they cost the same with checks off. Only the `if invariant.Enabled()`
+// guard and panic subtrees excise a whole subtree.
+func HotSkipper(info *types.Info, coldPkgs map[string]bool) func(ast.Node) bool {
+	return coldSkipper(info, coldPkgs, false)
+}
+
+func coldSkipper(info *types.Info, coldPkgs map[string]bool, pruneColdCalls bool) func(ast.Node) bool {
+	isPanic := func(call *ast.CallExpr) bool {
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		b, ok := info.Uses[id].(*types.Builtin)
+		return ok && b.Name() == "panic"
+	}
+	callsColdPkg := func(call *ast.CallExpr) bool {
+		var id *ast.Ident
 		switch fun := ast.Unparen(call.Fun).(type) {
 		case *ast.Ident:
-			if b, ok := info.Uses[fun].(*types.Builtin); ok && b.Name() == "panic" {
-				return true
-			}
-			if fn, ok := info.Uses[fun].(*types.Func); ok && fn.Pkg() != nil {
-				return coldPkgs[fn.Pkg().Path()]
-			}
+			id = fun
 		case *ast.SelectorExpr:
-			if fn, ok := info.Uses[fun.Sel].(*types.Func); ok && fn.Pkg() != nil {
-				return coldPkgs[fn.Pkg().Path()]
-			}
+			id = fun.Sel
+		default:
+			return false
 		}
-		return false
+		fn, ok := info.Uses[id].(*types.Func)
+		return ok && fn.Pkg() != nil && coldPkgs[fn.Pkg().Path()]
 	}
 	return func(nd ast.Node) bool {
 		switch n := nd.(type) {
 		case *ast.CallExpr:
-			return callIsCold(n)
+			return isPanic(n) || (pruneColdCalls && callsColdPkg(n))
 		case *ast.IfStmt:
 			cold := false
 			ast.Inspect(n.Cond, func(c ast.Node) bool {
-				if call, ok := c.(*ast.CallExpr); ok && callIsCold(call) {
+				if call, ok := c.(*ast.CallExpr); ok && (isPanic(call) || callsColdPkg(call)) {
 					cold = true
 					return false
 				}

@@ -5,7 +5,11 @@
 // hot-callee deduplication) behave as documented.
 package hotalloc
 
-import "strconv"
+import (
+	"strconv"
+
+	"rsin/internal/invariant"
+)
 
 type point struct{ x, y int }
 
@@ -122,6 +126,28 @@ func coldExcised(v int) int {
 		probe(v)
 	}
 	return v * 2
+}
+
+// invariantArgs proves calls into the invariant package are cold
+// callees whose arguments are still hot code: Go builds a variadic
+// ...any (its slice, and a box per non-pointer value) at the call site
+// even when checks are off. Only the `if invariant.Enabled()` guard
+// excises the call with its arguments.
+//
+//lint:hotpath
+func invariantArgs(port int, ok bool, name string, a, b float64) {
+	invariant.Assert(ok, "hotalloc", "port %d", // want "variadic call allocates its argument slice"
+		port) // want "interface boxing of non-pointer value \(int → any\) at argument"
+	_ = invariant.Probability("hotalloc",
+		name+"!", a) // want "string concatenation"
+	// A cold callee is never reported, though NonDecreasing allocates
+	// its error; neither is an Assert with nothing to box.
+	_ = invariant.NonDecreasing("hotalloc", a, b)
+	invariant.Assert(ok, "hotalloc", "plain message")
+	if invariant.Enabled() {
+		invariant.Assert(ok, "hotalloc", "port %d", port)
+		_ = invariant.Probability("hotalloc", name+"!", a)
+	}
 }
 
 // hotLeaf/hotCaller prove hot callees are checked at their own

@@ -12,8 +12,10 @@ import (
 // Interprocedural policy shared by the summary layer and the analyzers
 // built on it.
 var (
-	// coldPkgs compile to no-ops in production builds; calls into them
-	// (arguments included) are off the steady-state path.
+	// coldPkgs' checks are off in production builds; calls into them
+	// are off the steady-state path. Summaries treat their arguments as
+	// cold too; hotalloc still checks the arguments in hot code unless
+	// the call sits under an `if invariant.Enabled()` guard.
 	coldPkgs = map[string]bool{"rsin/internal/invariant": true}
 
 	// uniClockExempt packages are sanctioned wall-clock consumers

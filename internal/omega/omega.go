@@ -357,8 +357,10 @@ func (o *Omega) acquire(pid int, status, live uint64) (core.Grant, bool) {
 	// request never lands on a port whose status bit was clear —
 	// eligibility only decreases while a frozen word is held, so a
 	// port that is live-eligible at grant time had its bit set.
-	invariant.Assert(status&(1<<uint(port)) != 0, "omega",
-		"request granted port %d whose status bit was clear", port)
+	if invariant.Enabled() {
+		invariant.Assert(status&(1<<uint(port)) != 0, "omega",
+			"request granted port %d whose status bit was clear", port)
+	}
 	o.claim(port)
 	return core.Grant{Processor: pid, Port: port, Path: pg}, true
 }
@@ -368,8 +370,10 @@ func (o *Omega) acquire(pid int, status, live uint64) (core.Grant, bool) {
 //
 //lint:hotpath
 func (o *Omega) claim(port int) {
-	invariant.Assert(o.portEligible(port), "omega",
-		"routed to ineligible port %d (busy=%v free=%d)", port, o.portBusy[port], o.free[port])
+	if invariant.Enabled() {
+		invariant.Assert(o.portEligible(port), "omega",
+			"routed to ineligible port %d (busy=%v free=%d)", port, o.portBusy[port], o.free[port])
+	}
 	o.portBusy[port] = true
 	o.elig &^= 1 << uint(port)
 	o.free[port]--

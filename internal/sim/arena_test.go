@@ -10,6 +10,7 @@ import (
 	"rsin/internal/invariant"
 	"rsin/internal/obs"
 	"rsin/internal/omega"
+	"rsin/internal/queueing"
 	"rsin/internal/rng"
 )
 
@@ -193,14 +194,19 @@ func (c *countProbe) Event(obs.Event) { c.n++ }
 // combinator recycle their grant records through pools (warmed within
 // the short run, so the differential cancels the mints too). The
 // PART-OMEGA+probe case attaches a counting probe, so the per-Acquire
-// reject lookups (core.Partitioned.Rejects into omega.Omega.Rejects)
-// and the event emission are pinned allocation-free as well.
+// reject lookups (core.Partitioned.Rejects into omega.Omega.Rejects),
+// the grant table's attribution side table and the event emission are
+// pinned allocation-free as well. XBAR512 grants port numbers ≥ 256,
+// which Go cannot box into an interface without allocating: it pins
+// that no grant-path argument is boxed when invariant checks are off.
+// Every case runs the production kernel, whose only event queue is the
+// calendar queue the subtest names.
 func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	invariant.Enable(false)
 	defer invariant.Enable(true)
-	mallocs := func(mk func() core.Network, probe bool, mkq func() eventQueue, samples int) uint64 {
+	mallocs := func(mk func() core.Network, lambda float64, probe bool, samples int) uint64 {
 		cfg := Config{
-			Lambda: 0.2, MuN: 2, MuS: 1,
+			Lambda: lambda, MuN: 2, MuS: 1,
 			Seed: 5, Warmup: 100, Samples: samples,
 		}
 		if probe {
@@ -209,49 +215,50 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		if _, err := runOnQueue(mk(), cfg, mkq()); err != nil {
+		if _, err := Run(mk(), cfg); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&m1)
 		return m1.Mallocs - m0.Mallocs
 	}
+	xbar512 := func() core.Network { return crossbar.New(512, 512, 1) }
 	nets := map[string]struct {
-		mk    func() core.Network
-		probe bool
+		mk     func() core.Network
+		lambda float64
+		probe  bool
 	}{
-		"SBUS":  {mk: func() core.Network { return bus.New(64, 128) }},
-		"XBAR":  {mk: func() core.Network { return crossbar.New(64, 32, 1) }},
-		"OMEGA": {mk: func() core.Network { return omega.New(64, 2) }},
+		"SBUS":  {mk: func() core.Network { return bus.New(64, 128) }, lambda: 0.2},
+		"XBAR":  {mk: func() core.Network { return crossbar.New(64, 32, 1) }, lambda: 0.2},
+		"OMEGA": {mk: func() core.Network { return omega.New(64, 2) }, lambda: 0.2},
 		"PART": {mk: func() core.Network {
 			subs := make([]core.Network, 4)
 			for i := range subs {
 				subs[i] = bus.New(16, 32)
 			}
 			return core.NewPartitioned(subs)
-		}},
+		}, lambda: 0.2},
 		"PART-OMEGA+probe": {mk: func() core.Network {
 			subs := make([]core.Network, 4)
 			for i := range subs {
 				subs[i] = omega.New(16, 2)
 			}
 			return core.NewPartitioned(subs)
-		}, probe: true},
+		}, lambda: 0.2, probe: true},
+		"XBAR512": {mk: xbar512, lambda: queueing.LambdaForIntensity(0.8, 512, 2, 1, xbar512().TotalResources())},
 	}
 	for name, nc := range nets {
-		for _, tq := range testQueues {
-			t.Run(name+"/"+tq.name, func(t *testing.T) {
-				const n = 20000
-				base := mallocs(nc.mk, nc.probe, tq.mk, n)
-				big := mallocs(nc.mk, nc.probe, tq.mk, 3*n)
-				// Slack absorbs runtime-internal allocations (GC metadata,
-				// timer wheels); a single alloc per event would show up as
-				// tens of thousands.
-				const slack = 200
-				if big > base+slack {
-					t.Errorf("mallocs grew with samples: %d @ %d samples vs %d @ %d samples",
-						base, n, big, 3*n)
-				}
-			})
-		}
+		t.Run(name+"/calendar", func(t *testing.T) {
+			const n = 20000
+			base := mallocs(nc.mk, nc.lambda, nc.probe, n)
+			big := mallocs(nc.mk, nc.lambda, nc.probe, 3*n)
+			// Slack absorbs runtime-internal allocations (GC metadata,
+			// timer wheels); a single alloc per event would show up as
+			// tens of thousands.
+			const slack = 200
+			if big > base+slack {
+				t.Errorf("mallocs grew with samples: %d @ %d samples vs %d @ %d samples",
+					base, n, big, 3*n)
+			}
+		})
 	}
 }

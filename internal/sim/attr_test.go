@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"rsin/internal/bus"
@@ -85,45 +86,66 @@ func TestCompleteEventsReconcileExactly(t *testing.T) {
 	}
 }
 
+// attrGoldenPath and seriesGoldenPath are the committed attribution
+// and series documents of a partitioned p=128 Omega run, recorded by the
+// last build whose kernel could still be driven with the binary-heap
+// queue, where the heap-driven and calendar-driven kernels rendered
+// them byte for byte alike.
+const (
+	attrGoldenPath   = "testdata/attr_p128_omega.json"
+	seriesGoldenPath = "testdata/series_p128_omega.json"
+)
+
 // TestAttrAndSeriesBytesIdenticalAcrossKernels proves the recorders
-// inherit the engine's queue-independence: the kernel driven with the
-// binary-heap oracle and with the production calendar queue must
-// produce byte-identical attribution and series documents on a
-// partitioned large-p run.
+// inherit the engine's queue-independence: Run must reproduce the
+// committed attribution and series documents byte for byte. Regenerate
+// deliberately with
+//
+//	go test ./internal/sim -run TestAttrAndSeriesBytesIdenticalAcrossKernels -update
+//
+// and review the diff like any other golden change.
 func TestAttrAndSeriesBytesIdenticalAcrossKernels(t *testing.T) {
-	run := func(q eventQueue) ([]byte, []byte) {
-		const p = 128
-		subs := make([]core.Network, 2)
-		for i := range subs {
-			subs[i] = omega.New(64, 2)
+	const p = 128
+	subs := make([]core.Network, 2)
+	for i := range subs {
+		subs[i] = omega.New(64, 2)
+	}
+	attr := obs.NewAttrRecorder(10)
+	series := obs.NewSeriesRecorder(p, 5)
+	cfg := Config{
+		Lambda: 0.3, MuN: 2, MuS: 1, Seed: 42,
+		Warmup: 40, Samples: 2500,
+		Probe: obs.Multi(attr, series),
+	}
+	res, err := Run(core.NewPartitioned(subs), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ab, sb bytes.Buffer
+	if err := obs.WriteAttributions(&ab, []obs.Attribution{attr.Report("run", nil)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteSeries(&sb, []obs.Series{series.Finish("run", res.SimTime)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		path string
+		got  []byte
+	}{{attrGoldenPath, ab.Bytes()}, {seriesGoldenPath, sb.Bytes()}} {
+		if *updateGolden {
+			if err := os.WriteFile(g.path, g.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		attr := obs.NewAttrRecorder(10)
-		series := obs.NewSeriesRecorder(p, 5)
-		cfg := Config{
-			Lambda: 0.3, MuN: 2, MuS: 1, Seed: 42,
-			Warmup: 40, Samples: 2500,
-			Probe: obs.Multi(attr, series),
-		}
-		res, err := runOnQueue(core.NewPartitioned(subs), cfg, q)
+		want, err := os.ReadFile(g.path)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("missing golden (run with -update to create): %v", err)
 		}
-		var ab, sb bytes.Buffer
-		if err := obs.WriteAttributions(&ab, []obs.Attribution{attr.Report("run", nil)}); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("%s: rendered document (%d bytes) differs from the golden (%d bytes)",
+				g.path, len(g.got), len(want))
 		}
-		if err := obs.WriteSeries(&sb, []obs.Series{series.Finish("run", res.SimTime)}); err != nil {
-			t.Fatal(err)
-		}
-		return ab.Bytes(), sb.Bytes()
-	}
-	heapAttr, heapSeries := run(&eventHeap{})
-	calAttr, calSeries := run(newCalendarQueue(0))
-	if !bytes.Equal(heapAttr, calAttr) {
-		t.Error("attribution reports differ between heap and calendar kernels")
-	}
-	if !bytes.Equal(heapSeries, calSeries) {
-		t.Error("series documents differ between heap and calendar kernels")
 	}
 }
 

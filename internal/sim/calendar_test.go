@@ -3,9 +3,29 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"rsin/internal/rng"
 )
+
+// TestEventLayout pins the packed event layout: kind rides in the low
+// bits of seq and pid/gidx are int32, so an event is 24 bytes and an
+// arena node (event plus its int32 list link) 32 — two nodes per cache
+// line. A field added back to event shows up here first.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Errorf("sizeof(event) = %d, want 24", got)
+	}
+	if got := unsafe.Sizeof(calNode{}); got != 32 {
+		t.Errorf("sizeof(calNode) = %d, want 32", got)
+	}
+	for _, k := range []eventKind{evArrival, evTxDone, evSvcDone, evRetry} {
+		e := event{seq: packSeq(1<<40+3, k)}
+		if e.kind() != k || e.seq>>kindBits != 1<<40+3 {
+			t.Errorf("packSeq(%d, %d) unpacks to counter %d kind %d", uint64(1<<40+3), k, e.seq>>kindBits, e.kind())
+		}
+	}
+}
 
 // TestCalendarTieOrder pins FIFO resolution of timestamp ties: events
 // pushed at the same time must pop in push (seq) order, even when the
@@ -14,7 +34,7 @@ func TestCalendarTieOrder(t *testing.T) {
 	q := newCalendarQueue(0)
 	var seq uint64
 	push := func(tm float64) event {
-		e := event{time: tm, seq: seq, pid: int(seq)}
+		e := event{time: tm, seq: seq, pid: int32(seq)}
 		seq++
 		q.push(e)
 		return e
@@ -143,7 +163,7 @@ func TestCalendarVsHeapRandom(t *testing.T) {
 					tm = now + src.Exp(1)*float64(1+src.Intn(100))
 				}
 				lastTime = tm
-				e := event{time: tm, seq: seq, pid: int(seq)}
+				e := event{time: tm, seq: seq, pid: int32(seq)}
 				seq++
 				cal.push(e)
 				h.push(e)
@@ -250,12 +270,12 @@ func TestCalendarMemoryTracksPopulation(t *testing.T) {
 	mix := newKernelMix()
 	q := newCalendarQueue(p)
 	var seq uint64
-	push := func(now float64, k eventKind, pid int) {
-		q.push(event{time: now + src.Exp(mix.rate(k)), seq: seq, kind: k, pid: pid})
+	push := func(now float64, k eventKind, pid int32) {
+		q.push(event{time: now + src.Exp(mix.rate(k)), seq: packSeq(seq, k), pid: pid})
 		seq++
 	}
 	for pid := 0; pid < p; pid++ {
-		push(0, evArrival, pid)
+		push(0, evArrival, int32(pid))
 	}
 	peak, start := q.len(), q.cur
 	for step := 0; q.cur-start < 2*int64(q.mask+1); step++ {
@@ -263,7 +283,7 @@ func TestCalendarMemoryTracksPopulation(t *testing.T) {
 			t.Fatalf("cursor advanced only %d epochs of a %d-bucket ring in %d pops", q.cur-start, q.mask+1, step)
 		}
 		e := q.pop()
-		switch e.kind {
+		switch e.kind() {
 		case evArrival:
 			push(e.time, evArrival, e.pid)
 			push(e.time, evTxDone, e.pid)
@@ -299,8 +319,8 @@ func BenchmarkCalendarHold(b *testing.B) {
 			sum := weights[0] + weights[1] + weights[2]
 			q := newCalendarQueue(n)
 			var seq uint64
-			hold := func(now float64, k eventKind, pid int) {
-				q.push(event{time: now + src.Exp(mix.rate(k)), seq: seq, kind: k, pid: pid})
+			hold := func(now float64, k eventKind, pid int32) {
+				q.push(event{time: now + src.Exp(mix.rate(k)), seq: packSeq(seq, k), pid: pid})
 				seq++
 			}
 			for i := 0; i < n; i++ {
@@ -311,17 +331,17 @@ func BenchmarkCalendarHold(b *testing.B) {
 				case u >= weights[0]:
 					k = evTxDone
 				}
-				hold(0, k, i)
+				hold(0, k, int32(i))
 			}
 			for i := 0; i < 16*n; i++ {
 				e := q.pop()
-				hold(e.time, e.kind, e.pid)
+				hold(e.time, e.kind(), e.pid)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e := q.pop()
-				hold(e.time, e.kind, e.pid)
+				hold(e.time, e.kind(), e.pid)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(q.retainedEvents()), "events-retained")

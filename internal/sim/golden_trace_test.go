@@ -25,7 +25,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden trace under te
 // attempt, reject, grant, and completion with timestamps — of the
 // large-p code path (SoA state, arena, calendar queue, partition hint
 // delegation) against accidental drift between commits. The kernel
-// differential matrix proves heap/calendar/oracle agree with each other
+// differential matrix proves Run agrees with the heap-driven oracle
 // within one build; this file proves today's build agrees with the
 // build that committed it. Comparison is over the uncompressed bytes,
 // so gzip encoder details never matter.

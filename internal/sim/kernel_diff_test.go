@@ -15,40 +15,19 @@ import (
 )
 
 // This file is the kernel differential matrix: the acceptance proof for
-// the SoA + arena + calendar-queue refactor. For every network class ×
-// processor count × traffic intensity cell it runs three kernels over
-// the same workload —
+// the SoA + arena + calendar-queue kernel. For every network class ×
+// processor count × traffic intensity cell it runs two kernels over the
+// same workload —
 //
 //   - runOracle: the frozen pre-refactor kernel (AoS procs, binary heap),
-//   - the production kernel driven with the binary-heap oracle queue,
-//   - the production kernel on the calendar queue (what Run uses),
+//   - Run: the production kernel on the calendar queue,
 //
 // and requires the rendered Result (every metric, telemetry counter,
 // and raw delay sample) and the rendered obs trace bytes (every grant,
-// reject, and timestamp, in order) to be identical across all three.
-// Result equality pins the SoA/arena rewrite; trace equality pins event
-// ordering, including (time, seq) ties, which is exactly where a
-// calendar queue can silently diverge from a heap.
-
-// testQueues names the pending-event structures tests drive the
-// production kernel with: the binary-heap oracle and the calendar queue
-// Run itself uses.
-var testQueues = []struct {
-	name string
-	mk   func() eventQueue
-}{
-	{"heap", func() eventQueue { return &eventHeap{} }},
-	{"calendar", func() eventQueue { return newCalendarQueue(0) }},
-}
-
-// runOnQueue is Run with q as the pending-event structure: the test
-// seam through which the heap oracle reaches the production kernel.
-func runOnQueue(net core.Network, cfg Config, q eventQueue) (Result, error) {
-	if err := cfg.validate(net.Processors()); err != nil {
-		return Result{}, err
-	}
-	return newKernel(net, cfg, q).run()
-}
+// reject, and timestamp, in order) to be identical. Result equality
+// pins the SoA/arena rewrite; trace equality pins event ordering,
+// including (time, seq) ties, which is exactly where a calendar queue
+// can silently diverge from a heap.
 
 // kernelDiffNet is one network class instantiated for a given p.
 type kernelDiffNet struct {
@@ -141,13 +120,13 @@ func kernelDiffSamples(p int, short bool) int {
 	return n
 }
 
-// runKernelDiffCell runs one matrix cell through all three kernels and
-// fails the test on any Result or trace divergence.
+// runKernelDiffCell runs one matrix cell through both kernels and fails
+// the test on any Result or trace divergence.
 func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, samples int) {
 	t.Helper()
-	// render runs one kernel (q == nil selects runOracle) and returns
-	// its rendered Result and trace bytes.
-	render := func(q eventQueue) (string, []byte) {
+	// render runs one kernel (oracle selects runOracle, else Run) and
+	// returns its rendered Result and trace bytes.
+	render := func(oracle bool) (string, []byte) {
 		tr := obs.NewTrace()
 		cfg := Config{
 			Lambda: lambda, MuN: 2, MuS: 1,
@@ -160,10 +139,10 @@ func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, sam
 			res Result
 			err error
 		)
-		if q == nil {
+		if oracle {
 			res, err = runOracle(mk(), cfg, false)
 		} else {
-			res, err = runOnQueue(mk(), cfg, q)
+			res, err = Run(mk(), cfg)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -174,17 +153,13 @@ func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, sam
 		}
 		return fmt.Sprintf("%+v", res), buf.Bytes()
 	}
-	wantRes, wantTrace := render(nil)
-	for _, tq := range testQueues {
-		gotRes, gotTrace := render(tq.mk())
-		if gotRes != wantRes {
-			t.Errorf("%s kernel Result diverged from oracle:\noracle %.400s\ngot    %.400s",
-				tq.name, wantRes, gotRes)
-		}
-		if !bytes.Equal(gotTrace, wantTrace) {
-			t.Errorf("%s kernel trace bytes diverged from oracle (%d vs %d bytes)",
-				tq.name, len(gotTrace), len(wantTrace))
-		}
+	wantRes, wantTrace := render(true)
+	gotRes, gotTrace := render(false)
+	if gotRes != wantRes {
+		t.Errorf("Run Result diverged from oracle:\noracle %.400s\ngot    %.400s", wantRes, gotRes)
+	}
+	if !bytes.Equal(gotTrace, wantTrace) {
+		t.Errorf("Run trace bytes diverged from oracle (%d vs %d bytes)", len(gotTrace), len(wantTrace))
 	}
 	if len(wantTrace) == 0 {
 		t.Fatal("oracle produced an empty trace")

@@ -31,10 +31,12 @@ type oracleProcState struct {
 }
 
 // runOracle is the pre-refactor sim.Run, verbatim apart from the
-// renames to oracleProcState and oracleBlockedInvariant and the
+// renames to oracleProcState and oracleBlockedInvariant, the
 // legacyWake parameter, which selects the full-rescan wake engine and
 // disables the core.AvailabilityHinter fast path so the oracle
-// exercises the plain Acquire protocol.
+// exercises the plain Acquire protocol, and the packed 24-byte event:
+// schedule takes (t, kind, pid, gidx) and stamps the kind into seq, and
+// the loop unpacks kind, pid and gidx once per popped event.
 func runOracle(net core.Network, cfg Config, legacyWake bool) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -109,10 +111,9 @@ func runOracle(net core.Network, cfg Config, legacyWake bool) (res Result, err e
 		servedTotal  int64
 		inService    int
 	)
-	schedule := func(e event) {
-		e.seq = seq
+	schedule := func(t float64, kind eventKind, pid, gidx int) {
+		h.push(event{time: t, seq: packSeq(seq, kind), pid: int32(pid), gidx: int32(gidx)})
 		seq++
-		h.push(e)
 	}
 	setQ := func(delta int) {
 		totalQ += delta
@@ -139,7 +140,7 @@ func runOracle(net core.Network, cfg Config, legacyWake bool) (res Result, err e
 
 	for pid := 0; pid < p; pid++ {
 		if rates[pid] > 0 {
-			schedule(event{time: src.Exp(rates[pid]), kind: evArrival, pid: pid})
+			schedule(src.Exp(rates[pid]), evArrival, pid, 0)
 		}
 	}
 
@@ -151,7 +152,7 @@ func runOracle(net core.Network, cfg Config, legacyWake bool) (res Result, err e
 		ps.transmitting = true
 		setBusy(1)
 		gi := grants.put(g, arrivedAt)
-		schedule(event{time: now + src.Exp(cfg.MuN), kind: evTxDone, pid: pid, gidx: gi})
+		schedule(now+src.Exp(cfg.MuN), evTxDone, pid, gi)
 		d := now - arrivedAt
 		if probe != nil {
 			probe.Event(obs.Event{T: now, Kind: obs.KindTransmitStart, Pid: pid, Port: g.Port, Dur: d})
@@ -213,7 +214,7 @@ func runOracle(net core.Network, cfg Config, legacyWake bool) (res Result, err e
 					continue
 				}
 				retryPend[pid] = true
-				schedule(event{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
+				schedule(now+src.Exp(1/cfg.RetryJitter), evRetry, pid, 0)
 			}
 			return
 		}
@@ -260,7 +261,7 @@ func runOracle(net core.Network, cfg Config, legacyWake bool) (res Result, err e
 					continue
 				}
 				retryPend[pid] = true
-				schedule(event{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
+				schedule(now+src.Exp(1/cfg.RetryJitter), evRetry, pid, 0)
 			}
 			return
 		}
@@ -319,40 +320,41 @@ func runOracle(net core.Network, cfg Config, legacyWake bool) (res Result, err e
 			busyTW.Reset()
 			completed = 0
 		}
-		switch e.kind {
+		pid, gidx := int(e.pid), int(e.gidx)
+		switch e.kind() {
 		case evArrival:
 			arrivedTotal++
-			ps := &procs[e.pid]
+			ps := &procs[pid]
 			if probe != nil {
-				probe.Event(obs.Event{T: now, Kind: obs.KindArrival, Pid: e.pid, Port: -1})
+				probe.Event(obs.Event{T: now, Kind: obs.KindArrival, Pid: pid, Port: -1})
 			}
 			ps.queue = append(ps.queue, now)
 			setQ(1)
 			if len(ps.queue) >= cfg.MaxQueue {
-				return Result{}, fmt.Errorf("%w (processor %d, t=%g)", ErrSaturated, e.pid, now)
+				return Result{}, fmt.Errorf("%w (processor %d, t=%g)", ErrSaturated, pid, now)
 			}
 			if probe != nil {
-				probe.Event(obs.Event{T: now, Kind: obs.KindEnqueue, Pid: e.pid, Port: -1, Aux: int64(len(ps.queue))})
+				probe.Event(obs.Event{T: now, Kind: obs.KindEnqueue, Pid: pid, Port: -1, Aux: int64(len(ps.queue))})
 			}
-			tryStart(e.pid)
-			schedule(event{time: now + src.Exp(rates[e.pid]), kind: evArrival, pid: e.pid})
+			tryStart(pid)
+			schedule(now+src.Exp(rates[pid]), evArrival, pid, 0)
 		case evTxDone:
-			g := grants.get(e.gidx)
+			g := grants.get(gidx)
 			net.ReleasePath(g)
-			procs[e.pid].transmitting = false
-			if len(procs[e.pid].queue) > 0 {
-				blocked.add(e.pid)
+			procs[pid].transmitting = false
+			if len(procs[pid].queue) > 0 {
+				blocked.add(pid)
 			}
 			setBusy(-1)
 			inService++
-			grants.markTx(e.gidx, now)
-			schedule(event{time: now + src.Exp(cfg.MuS), kind: evSvcDone, gidx: e.gidx})
+			grants.markTx(gidx, now)
+			schedule(now+src.Exp(cfg.MuS), evSvcDone, 0, gidx)
 			if probe != nil {
-				probe.Event(obs.Event{T: now, Kind: obs.KindTransmitEnd, Pid: e.pid, Port: g.Port})
+				probe.Event(obs.Event{T: now, Kind: obs.KindTransmitEnd, Pid: pid, Port: g.Port})
 			}
 			wake()
 		case evSvcDone:
-			s := grants.take(e.gidx)
+			s := grants.take(gidx)
 			net.ReleaseResource(s.g)
 			inService--
 			servedTotal++
@@ -365,8 +367,8 @@ func runOracle(net core.Network, cfg Config, legacyWake bool) (res Result, err e
 			}
 			wake()
 		case evRetry:
-			retryPend[e.pid] = false
-			tryStart(e.pid)
+			retryPend[pid] = false
+			tryStart(pid)
 		}
 		if invariant.Enabled() {
 			if verr := oracleBlockedInvariant(procs, blocked); verr != nil {

@@ -1,12 +1,15 @@
 package sim
 
-// event is one scheduled occurrence in the simulation.
+// event is one scheduled occurrence in the simulation, packed into 24
+// bytes so a calendar-queue node (event plus list link) fills 32.
 type event struct {
 	time float64
-	seq  uint64 // FIFO tie-breaker for deterministic ordering
-	kind eventKind
-	pid  int // processor concerned (arrival, txDone)
-	gidx int // grant table index (txDone, svcDone)
+	// seq is the FIFO tie-breaker: a per-run counter in the high bits,
+	// the eventKind in the low kindBits. The counter alone is unique,
+	// so ordering by (time, seq) is ordering by (time, counter).
+	seq  uint64
+	pid  int32 // processor concerned (arrival, txDone, retry)
+	gidx int32 // grant table index (txDone, svcDone)
 }
 
 type eventKind uint8
@@ -18,13 +21,11 @@ const (
 	evRetry
 )
 
-// eventQueue is the pending-event structure behind sim.Run: a priority
-// queue popping events in (time, seq) order. Production runs always use
-// the calendarQueue in calendar.go; the binary eventHeap in
-// heap_test.go is its test oracle — the calendar fuzz test and the
-// kernel differential matrix drive both and pin identical pop order.
-type eventQueue interface {
-	len() int
-	push(event)
-	pop() event
-}
+// kindBits is the width of the eventKind field packed into event.seq.
+const kindBits = 2
+
+// packSeq returns the seq of the n-th scheduled event, of kind k.
+func packSeq(n uint64, k eventKind) uint64 { return n<<kindBits | uint64(k) }
+
+// kind returns the event's kind, unpacked from seq.
+func (e event) kind() eventKind { return eventKind(e.seq & (1<<kindBits - 1)) }

@@ -192,8 +192,8 @@ var ErrSaturated = errors.New("sim: queue exceeded MaxQueue; system appears satu
 // performs zero heap allocations. arena_test.go pins this with
 // testing.AllocsPerRun and a whole-run malloc-delta check, and the
 // kernel differential matrix in kernel_diff_test.go proves the layout
-// refactor changed no observable byte: Results and obs traces are
-// identical to the retained pre-refactor kernel (runOracle).
+// changed no observable byte: Results and obs traces are identical to
+// the retained pre-refactor kernel on the binary heap (runOracle).
 func Run(net core.Network, cfg Config) (res Result, err error) {
 	// Invariant violations inside the network models and accumulators
 	// surface as panics (invariant.Assert, stats.ErrTimeBackwards);
@@ -211,9 +211,7 @@ func Run(net core.Network, cfg Config) (res Result, err error) {
 	if err := cfg.validate(p); err != nil {
 		return Result{}, err
 	}
-	// One arrival timer per processor is always pending, so p sizes the
-	// queue's event arena the way it sizes the processor table.
-	return newKernel(net, cfg, newCalendarQueue(p)).run()
+	return newKernel(net, cfg).run()
 }
 
 // validate rejects configurations the kernel cannot run. Every float
@@ -259,8 +257,8 @@ type kernel struct {
 
 	pt     *procTable
 	grants *grantTable
-	q      eventQueue
-	seq    uint64 // next event's FIFO tie-breaker
+	q      *calendarQueue
+	seq    uint64 // FIFO counter of the next scheduled event
 	now    float64
 
 	// Incremental wake engine state. blocked tracks exactly the
@@ -308,11 +306,9 @@ type kernel struct {
 	inService    int
 }
 
-// newKernel prepares a run of net under cfg (already validated) with q
-// as the pending-event structure. Production always passes the calendar
-// queue; the parameter exists so this package's tests can drive the
-// kernel with the binary-heap oracle.
-func newKernel(net core.Network, cfg Config, q eventQueue) *kernel {
+// newKernel prepares a run of net under cfg (already validated) on a
+// fresh calendar event queue.
+func newKernel(net core.Network, cfg Config) *kernel {
 	if cfg.Samples <= 0 {
 		cfg.Samples = 100000
 	}
@@ -333,6 +329,8 @@ func newKernel(net core.Network, cfg Config, q eventQueue) *kernel {
 			rates[i] = cfg.Lambda
 		}
 	}
+	// One arrival timer per processor is always pending, so p sizes the
+	// queue's event arena the way it sizes the processor table.
 	k := &kernel{
 		net:       net,
 		cfg:       cfg,
@@ -341,7 +339,7 @@ func newKernel(net core.Network, cfg Config, q eventQueue) *kernel {
 		src:       rng.New(cfg.Seed),
 		pt:        newProcTable(p, p),
 		grants:    newGrantTable(),
-		q:         q,
+		q:         newCalendarQueue(p),
 		blocked:   newWaiterSet(p),
 		retryPend: make([]bool, p),
 		headSince: make([]float64, p),
@@ -375,7 +373,7 @@ func newKernel(net core.Network, cfg Config, q eventQueue) *kernel {
 func (k *kernel) run() (Result, error) {
 	for pid := 0; pid < k.p; pid++ {
 		if k.rates[pid] > 0 {
-			k.schedule(event{time: k.src.Exp(k.rates[pid]), kind: evArrival, pid: pid})
+			k.schedule(k.src.Exp(k.rates[pid]), evArrival, pid, 0)
 		}
 	}
 
@@ -397,18 +395,18 @@ func (k *kernel) run() (Result, error) {
 			k.busyTW.Reset()
 			k.completed = 0
 		}
-		switch e.kind {
+		switch e.kind() {
 		case evArrival:
-			if err := k.onArrival(e); err != nil {
+			if err := k.onArrival(int(e.pid)); err != nil {
 				return Result{}, err
 			}
 		case evTxDone:
-			k.onTxDone(e)
+			k.onTxDone(int(e.pid), int(e.gidx))
 		case evSvcDone:
-			k.onSvcDone(e)
+			k.onSvcDone(int(e.gidx))
 		case evRetry:
 			k.retryPend[e.pid] = false
-			k.tryStart(e.pid)
+			k.tryStart(int(e.pid))
 		}
 		if invariant.Enabled() {
 			if verr := blockedInvariant(k.pt, k.blocked); verr != nil {
@@ -469,13 +467,13 @@ func (k *kernel) result() Result {
 	return res
 }
 
-// schedule stamps e with the next FIFO tie-breaker and files it.
+// schedule files an event of the given kind at time t, stamped with the
+// next FIFO tie-breaker.
 //
 //lint:hotpath one call per simulated event
-func (k *kernel) schedule(e event) {
-	e.seq = k.seq
+func (k *kernel) schedule(t float64, kind eventKind, pid, gidx int) {
+	k.q.push(event{time: t, seq: packSeq(k.seq, kind), pid: int32(pid), gidx: int32(gidx)})
 	k.seq++
-	k.q.push(e)
 }
 
 // setQ updates the queued-task count and its time-weighted accumulator.
@@ -494,64 +492,64 @@ func (k *kernel) setBusy(delta int) {
 	k.busyTW.Set(k.now, float64(k.busyPorts))
 }
 
-// onArrival queues a new task at e.pid, attempts to start it, and
+// onArrival queues a new task at pid, attempts to start it, and
 // schedules the processor's next arrival. It fails with ErrSaturated
 // when the queue reaches MaxQueue.
 //
 //lint:hotpath
-func (k *kernel) onArrival(e event) error {
+func (k *kernel) onArrival(pid int) error {
 	req := k.arrivedTotal
 	k.arrivedTotal++
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
-		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindArrival, Pid: e.pid, Port: -1, Req: req})
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindArrival, Pid: pid, Port: -1, Req: req})
 	}
-	if k.pt.qlen[e.pid] == 0 && !k.pt.transmitting[e.pid] {
+	if k.pt.qlen[pid] == 0 && !k.pt.transmitting[pid] {
 		// The task heads an empty queue on an idle processor: it is
 		// eligible to transmit the instant it arrives.
-		k.headSince[e.pid] = k.now
+		k.headSince[pid] = k.now
 	}
-	k.pt.push(e.pid, k.now, req)
+	k.pt.push(pid, k.now, req)
 	k.setQ(1)
 	//lint:coldpath saturation abort, terminates the run
-	if k.pt.queued(e.pid) >= k.cfg.MaxQueue {
-		return fmt.Errorf("%w (processor %d, t=%g)", ErrSaturated, e.pid, k.now)
+	if k.pt.queued(pid) >= k.cfg.MaxQueue {
+		return fmt.Errorf("%w (processor %d, t=%g)", ErrSaturated, pid, k.now)
 	}
 	// The task has joined its processor's queue; report that before the
 	// allocation attempt so probes see the causal order enqueue → grant.
 	// Aux is the queue length including this task.
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
-		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindEnqueue, Pid: e.pid, Port: -1, Req: req, Aux: int64(k.pt.queued(e.pid))})
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindEnqueue, Pid: pid, Port: -1, Req: req, Aux: int64(k.pt.queued(pid))})
 	}
-	k.tryStart(e.pid)
-	k.schedule(event{time: k.now + k.src.Exp(k.rates[e.pid]), kind: evArrival, pid: e.pid})
+	k.tryStart(pid)
+	k.schedule(k.now+k.src.Exp(k.rates[pid]), evArrival, pid, 0)
 	return nil
 }
 
-// onTxDone ends e.pid's transmission: the path is released, the task
+// onTxDone ends pid's transmission: the path is released, the task
 // enters service, and the freed path may unblock waiters.
 //
 //lint:hotpath
-func (k *kernel) onTxDone(e event) {
-	g := k.grants.get(e.gidx)
+func (k *kernel) onTxDone(pid, gidx int) {
+	g := k.grants.get(gidx)
 	k.net.ReleasePath(g)
-	k.pt.transmitting[e.pid] = false
-	if k.pt.qlen[e.pid] > 0 {
+	k.pt.transmitting[pid] = false
+	if k.pt.qlen[pid] > 0 {
 		// The processor turned idle with work still queued: it is now a
 		// blocked waiter (its next task has not been granted), so
 		// register it before the wake below. Its head-of-queue task
 		// becomes eligible to transmit now.
-		k.blocked.add(e.pid)
-		k.headSince[e.pid] = k.now
+		k.blocked.add(pid)
+		k.headSince[pid] = k.now
 	}
 	k.setBusy(-1)
 	k.inService++
-	k.grants.markTx(e.gidx, k.now)
-	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuS), kind: evSvcDone, gidx: e.gidx})
+	k.grants.markTx(gidx, k.now)
+	k.schedule(k.now+k.src.Exp(k.cfg.MuS), evSvcDone, 0, gidx)
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
-		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitEnd, Pid: e.pid, Port: g.Port, Req: k.grants.req(e.gidx)})
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitEnd, Pid: pid, Port: g.Port, Req: k.grants.attr[gidx].req})
 	}
 	// The freed path (and bus) may unblock queued tasks, including this
 	// processor's own next task.
@@ -563,8 +561,8 @@ func (k *kernel) onTxDone(e event) {
 // waiters.
 //
 //lint:hotpath
-func (k *kernel) onSvcDone(e event) {
-	s := k.grants.take(e.gidx)
+func (k *kernel) onSvcDone(gidx int) {
+	s := k.grants.take(gidx)
 	k.net.ReleaseResource(s.g)
 	k.inService--
 	k.servedTotal++
@@ -579,16 +577,19 @@ func (k *kernel) onSvcDone(e event) {
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
 		now := k.now
-		k.probe.Event(obs.Event{T: now, Kind: obs.KindRelease, Pid: s.g.Processor, Port: s.g.Port, Req: s.req, Dur: now - s.txDone})
+		// take left the slot's attribution entry in place; nothing can
+		// reuse the slot before the next put.
+		a := &k.grants.attr[gidx]
+		k.probe.Event(obs.Event{T: now, Kind: obs.KindRelease, Pid: s.g.Processor, Port: s.g.Port, Req: a.req, Dur: now - s.txDone})
 		// Close the request with its exact latency attribution. resp is
 		// the same expression the Response estimator consumes, tx/svc
 		// telescope between the stored stamps; the fixup loop nudges svc
 		// until the left-to-right sum (wait+block)+tx+svc reproduces
 		// resp bit for bit.
 		resp := now - s.arrived
-		tx := s.txDone - s.txStart
+		tx := s.txDone - a.txStart
 		svc := now - s.txDone
-		partial := (s.wait + s.block) + tx
+		partial := (a.wait + a.block) + tx
 		for i := 0; i < 8 && partial+svc != resp; i++ {
 			svc += resp - (partial + svc)
 		}
@@ -598,8 +599,8 @@ func (k *kernel) onSvcDone(e event) {
 		}
 		k.probe.Event(obs.Event{
 			T: now, Kind: obs.KindComplete, Pid: s.g.Processor, Port: s.g.Port,
-			Req: s.req, Aux: measured, Dur: resp,
-			Wait: s.wait, Block: s.block, Tx: tx, Svc: svc,
+			Req: a.req, Aux: measured, Dur: resp,
+			Wait: a.wait, Block: a.block, Tx: tx, Svc: svc,
 		})
 	}
 	// The freed resource may unblock queued tasks.
@@ -617,7 +618,7 @@ func (k *kernel) startTx(pid int, g core.Grant) float64 {
 	k.pt.transmitting[pid] = true
 	k.setBusy(1)
 	gi := k.grants.put(g, arrivedAt)
-	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuN), kind: evTxDone, pid: pid, gidx: gi})
+	k.schedule(k.now+k.src.Exp(k.cfg.MuN), evTxDone, pid, gi)
 	d := k.now - arrivedAt
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
@@ -633,7 +634,7 @@ func (k *kernel) startTx(pid int, g core.Grant) float64 {
 		for i := 0; i < 8 && wait+block != d; i++ {
 			wait += d - (wait + block)
 		}
-		k.grants.setAttr(gi, req, k.now, wait, block)
+		k.grants.setAttr(gi, grantAttr{req: req, txStart: k.now, wait: wait, block: block})
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitStart, Pid: pid, Port: g.Port, Req: req, Dur: d})
 	}
 	return d
@@ -732,7 +733,7 @@ func (k *kernel) wake() {
 				continue
 			}
 			k.retryPend[pid] = true
-			k.schedule(event{time: k.now + k.src.Exp(1/k.cfg.RetryJitter), kind: evRetry, pid: pid})
+			k.schedule(k.now+k.src.Exp(1/k.cfg.RetryJitter), evRetry, pid, 0)
 		}
 		return
 	}
@@ -779,16 +780,22 @@ func (k *kernel) wake() {
 type grantTable struct {
 	slots []grantSlot
 	free  []int
+
+	// attr is the latency-attribution side table, parallel to slots and
+	// written by setAttr only when a probe is attached: the nil-probe
+	// fast path and the oracle kernel never touch it, so their slots
+	// stay small and take copies only what they read.
+	attr []grantAttr
 }
 
 type grantSlot struct {
 	g       core.Grant
 	arrived float64
 	txDone  float64 // when transmission ended (service span start)
+}
 
-	// Latency-attribution payload, populated by setAttr only when a
-	// probe is attached (the oracle kernel and the nil-probe fast path
-	// never touch it; put zeroes it on slot reuse).
+// grantAttr is one grant's latency-attribution payload.
+type grantAttr struct {
 	req     int64
 	txStart float64
 	wait    float64 // queue-wait phase, fixed up so wait+block == delay d
@@ -813,25 +820,19 @@ func (t *grantTable) put(g core.Grant, arrived float64) int {
 //lint:hotpath
 func (t *grantTable) get(i int) core.Grant { return t.slots[i].g }
 
-// setAttr stores slot i's latency-attribution payload: request id,
-// transmit-start time, and the fixed-up queue-wait/network-blocking
-// phases. Called only when a probe is attached; put's composite-literal
-// assignment clears the fields on slot reuse, so the oracle kernel
-// (which never calls setAttr) is unaffected.
+// setAttr stores slot i's latency-attribution payload. Every put of a
+// probed run is followed by setAttr on the same slot, so the entry a
+// later read finds is always the current grant's; the side table grows
+// with slots and, like them, stops at the run's peak concurrency.
 //
 //lint:hotpath
-func (t *grantTable) setAttr(i int, req int64, txStart, wait, block float64) {
-	s := &t.slots[i]
-	s.req = req
-	s.txStart = txStart
-	s.wait = wait
-	s.block = block
+func (t *grantTable) setAttr(i int, a grantAttr) {
+	for len(t.attr) <= i {
+		//lint:ignore hotalloc side-table growth stops at the run's peak concurrency; pinned by TestRunSteadyStateZeroAlloc (PART-OMEGA+probe)
+		t.attr = append(t.attr, grantAttr{})
+	}
+	t.attr[i] = a
 }
-
-// req returns slot i's request id (meaningful only after setAttr).
-//
-//lint:hotpath
-func (t *grantTable) req(i int) int64 { return t.slots[i].req }
 
 // markTx stamps the time slot i's transmission completed, so the
 // service-release event can report the service span.

@@ -31,10 +31,10 @@ func TestHeapOrdering(t *testing.T) {
 func TestHeapFIFOTieBreak(t *testing.T) {
 	var h eventHeap
 	for i := 0; i < 10; i++ {
-		h.push(event{time: 1, seq: uint64(i), pid: i})
+		h.push(event{time: 1, seq: uint64(i), pid: int32(i)})
 	}
 	for i := 0; i < 10; i++ {
-		if e := h.pop(); e.pid != i {
+		if e := h.pop(); int(e.pid) != i {
 			t.Fatalf("tie-break not FIFO: got pid %d at pop %d", e.pid, i)
 		}
 	}

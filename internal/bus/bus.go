@@ -69,19 +69,29 @@ func (b *Bus) Acquire(pid int) (core.Grant, bool) {
 // per the interface contract.
 //
 //lint:hotpath probed by every wake pass
-func (b *Bus) AcquireWouldFail(pid int) bool {
+func (b *Bus) AcquireWouldFail(pid int) bool { return b.AcquireWouldFailN(pid, 1) }
+
+// HintSpan implements core.BlockHinter: every processor hears the one
+// status broadcast.
+func (b *Bus) HintSpan() int { return b.processors }
+
+// AcquireWouldFailN implements core.BlockHinter: the answer ignores
+// pid, and a true answer accounts n hopeless probes at once.
+//
+//lint:hotpath charges a hopeless block of waiters in one call
+func (b *Bus) AcquireWouldFailN(pid, n int) bool {
 	if pid < 0 || pid >= b.processors {
 		panic(fmt.Sprintf("bus: processor %d out of range", pid))
 	}
 	if !b.busBusy && b.free > 0 {
 		return false
 	}
-	b.tel.Attempts++
-	b.tel.Failures++
+	b.tel.Attempts += int64(n)
+	b.tel.Failures += int64(n)
 	if b.free == 0 {
-		b.tel.ResourceBlock++
+		b.tel.ResourceBlock += int64(n)
 	} else {
-		b.tel.PathBlock++
+		b.tel.PathBlock += int64(n)
 	}
 	return true
 }
@@ -133,4 +143,4 @@ func (b *Bus) Busy() bool { return b.busBusy }
 
 var _ core.Network = (*Bus)(nil)
 var _ core.TelemetrySource = (*Bus)(nil)
-var _ core.AvailabilityHinter = (*Bus)(nil)
+var _ core.BlockHinter = (*Bus)(nil)

@@ -151,6 +151,29 @@ type AvailabilityHinter interface {
 	AcquireWouldFail(pid int) bool
 }
 
+// BlockHinter is an optional AvailabilityHinter extension for networks
+// whose processors share status broadcasts in blocks: processors
+// [k·span, (k+1)·span), span = HintSpan(), see the same status bits,
+// so the hint gives all of them the same answer. It lets the engine
+// treat a block of hopeless waiters as one, instead of probing each.
+//
+// AcquireWouldFailN(pid, n) answers for pid's whole block. When it
+// returns true, it must have updated telemetry exactly as n calls to
+// AcquireWouldFail(pid) would have; n = 0 is a pure query. When it
+// returns false it must leave telemetry untouched, like
+// AcquireWouldFail.
+//
+// A block's answer and its failure class may change only through
+// Acquire, ReleasePath or ReleaseResource calls for processors of that
+// block: the engine relies on this to charge an untouched hopeless
+// block's waiters lazily, with one call when something next touches
+// the block.
+type BlockHinter interface {
+	AvailabilityHinter
+	HintSpan() int
+	AcquireWouldFailN(pid, n int) bool
+}
+
 // NamedCounter is one fine-grained telemetry counter exposed by a
 // network: a stable name (used as a metrics key, so it must be
 // deterministic across runs) and its value.
@@ -176,6 +199,7 @@ type DetailSource interface {
 type Partitioned struct {
 	subs     []Network
 	hinters  []AvailabilityHinter // parallel to subs; nil entry = no hint
+	blocks   []BlockHinter        // parallel to subs; nil entry = no whole-sub block hint
 	rejs     []RejectSource       // parallel to subs, from RejectsOf
 	perSub   int                  // processors per sub-network
 	ports    int
@@ -209,14 +233,21 @@ func NewPartitioned(subs []Network) *Partitioned {
 		res += s.TotalResources()
 	}
 	hinters := make([]AvailabilityHinter, len(subs))
+	blocks := make([]BlockHinter, len(subs))
 	rejs := make([]RejectSource, len(subs))
 	for i, s := range subs {
 		hinters[i], _ = s.(AvailabilityHinter)
+		// A sub-network whose own blocks are narrower than the whole
+		// sub-network cannot answer for a block of span per.
+		if b, ok := s.(BlockHinter); ok && b.HintSpan() >= per {
+			blocks[i] = b
+		}
 		rejs[i] = RejectsOf(s)
 	}
 	return &Partitioned{
 		subs:     subs,
 		hinters:  hinters,
+		blocks:   blocks,
 		rejs:     rejs,
 		perSub:   per,
 		ports:    ports,
@@ -274,6 +305,26 @@ func (p *Partitioned) AcquireWouldFail(pid int) bool {
 	}
 	if h := p.hinters[sub]; h != nil {
 		return h.AcquireWouldFail(pid % p.perSub)
+	}
+	return false
+}
+
+// HintSpan implements BlockHinter: each sub-network broadcasts its own
+// status to its own processors.
+func (p *Partitioned) HintSpan() int { return p.perSub }
+
+// AcquireWouldFailN implements BlockHinter by delegating to pid's
+// partition. A sub-network without a block hint answers false, so the
+// engine probes its waiters one by one as before.
+//
+//lint:hotpath charges a hopeless block of waiters in one call
+func (p *Partitioned) AcquireWouldFailN(pid, n int) bool {
+	sub := pid / p.perSub
+	if sub < 0 || sub >= len(p.subs) {
+		panic(fmt.Sprintf("core: processor %d outside partitioned system", pid))
+	}
+	if b := p.blocks[sub]; b != nil {
+		return b.AcquireWouldFailN(pid%p.perSub, n)
 	}
 	return false
 }
@@ -357,5 +408,5 @@ func (p *Partitioned) DetailCounters() []NamedCounter {
 var _ Network = (*Partitioned)(nil)
 var _ TelemetrySource = (*Partitioned)(nil)
 var _ DetailSource = (*Partitioned)(nil)
-var _ AvailabilityHinter = (*Partitioned)(nil)
+var _ BlockHinter = (*Partitioned)(nil)
 var _ RejectSource = (*Partitioned)(nil)

@@ -197,7 +197,9 @@ func (x *Crossbar) Acquire(pid int) (core.Grant, bool) {
 	}
 	x.tel.Grants++
 	x.portGrants[best]++
-	x.checkAggregates()
+	if invariant.Enabled() {
+		x.checkAggregates()
+	}
 	return core.Grant{Processor: pid, Port: best}, true
 }
 
@@ -210,31 +212,39 @@ func (x *Crossbar) Acquire(pid int) (core.Grant, bool) {
 // every cell of the row before the row's reject line asserts.
 //
 //lint:hotpath probed by every wake pass
-func (x *Crossbar) AcquireWouldFail(pid int) bool {
+func (x *Crossbar) AcquireWouldFail(pid int) bool { return x.AcquireWouldFailN(pid, 1) }
+
+// HintSpan implements core.BlockHinter: every row sees the same column
+// status lines.
+func (x *Crossbar) HintSpan() int { return x.processors }
+
+// AcquireWouldFailN implements core.BlockHinter: the answer ignores
+// pid, and a true answer accounts n hopeless probes at once.
+//
+//lint:hotpath charges a hopeless block of waiters in one call
+func (x *Crossbar) AcquireWouldFailN(pid, n int) bool {
 	if pid < 0 || pid >= x.processors {
 		panic(fmt.Sprintf("crossbar: processor %d out of range", pid))
 	}
 	if x.firstElig() >= 0 {
 		return false
 	}
-	x.tel.Attempts++
-	x.tel.Failures++
-	x.cellsSwept += int64(x.ports)
+	x.tel.Attempts += int64(n)
+	x.tel.Failures += int64(n)
+	x.cellsSwept += int64(n) * int64(x.ports)
 	if x.freeResPorts > 0 {
-		x.tel.PathBlock++
+		x.tel.PathBlock += int64(n)
 	} else {
-		x.tel.ResourceBlock++
+		x.tel.ResourceBlock += int64(n)
 	}
 	return true
 }
 
-// checkAggregates recounts the hinter aggregates from scratch under the
-// invariant build tag, pinning the incremental bookkeeping to the
-// ground-truth port state.
+// checkAggregates recounts the hinter aggregates from scratch, pinning
+// the incremental bookkeeping to the ground-truth port state. Callers
+// guard it with invariant.Enabled(), so with checks off the hot paths
+// pay no call.
 func (x *Crossbar) checkAggregates() {
-	if !invariant.Enabled() {
-		return
-	}
 	freeRes := 0
 	for j := 0; j < x.ports; j++ {
 		if x.free[j] > 0 {
@@ -261,7 +271,9 @@ func (x *Crossbar) ReleasePath(g core.Grant) {
 	if x.free[g.Port] > 0 {
 		x.setElig(g.Port)
 	}
-	x.checkAggregates()
+	if invariant.Enabled() {
+		x.checkAggregates()
+	}
 }
 
 // ReleaseResource implements core.Network.
@@ -278,7 +290,9 @@ func (x *Crossbar) ReleaseResource(g core.Grant) {
 			x.setElig(g.Port)
 		}
 	}
-	x.checkAggregates()
+	if invariant.Enabled() {
+		x.checkAggregates()
+	}
 }
 
 // Processors implements core.Network.
@@ -323,4 +337,4 @@ func (x *Crossbar) FreePorts() int {
 var _ core.Network = (*Crossbar)(nil)
 var _ core.TelemetrySource = (*Crossbar)(nil)
 var _ core.DetailSource = (*Crossbar)(nil)
-var _ core.AvailabilityHinter = (*Crossbar)(nil)
+var _ core.BlockHinter = (*Crossbar)(nil)

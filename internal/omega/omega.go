@@ -350,7 +350,9 @@ func (o *Omega) acquire(pid int, status, live uint64) (core.Grant, bool) {
 		o.putPath(pg)
 		o.tel.Failures++
 		o.tel.PathBlock++
-		o.verify()
+		if invariant.Enabled() {
+			o.verify()
+		}
 		return core.Grant{}, false
 	}
 	// The paper's status-bit consistency guarantee: a forward-routed
@@ -379,7 +381,9 @@ func (o *Omega) claim(port int) {
 	o.free[port]--
 	o.tel.Grants++
 	o.portGrants[port]++
-	o.verify()
+	if invariant.Enabled() {
+		o.verify()
+	}
 }
 
 // AcquireWouldFail implements core.AvailabilityHinter: when every
@@ -391,16 +395,26 @@ func (o *Omega) claim(port int) {
 // its per-stage reject telemetry) can decide.
 //
 //lint:hotpath probed by every wake pass
-func (o *Omega) AcquireWouldFail(pid int) bool {
+func (o *Omega) AcquireWouldFail(pid int) bool { return o.AcquireWouldFailN(pid, 1) }
+
+// HintSpan implements core.BlockHinter: the status word reaches every
+// input through the same boxes.
+func (o *Omega) HintSpan() int { return o.size }
+
+// AcquireWouldFailN implements core.BlockHinter: the answer ignores
+// pid, and a true answer accounts n resource-block shortcuts at once.
+//
+//lint:hotpath charges a hopeless block of waiters in one call
+func (o *Omega) AcquireWouldFailN(pid, n int) bool {
 	if pid < 0 || pid >= o.size {
 		panic(fmt.Sprintf("omega: processor %d out of range", pid))
 	}
 	if o.elig != 0 {
 		return false
 	}
-	o.tel.Attempts++
-	o.tel.Failures++
-	o.tel.ResourceBlock++
+	o.tel.Attempts += int64(n)
+	o.tel.Failures += int64(n)
+	o.tel.ResourceBlock += int64(n)
 	return true
 }
 
@@ -545,12 +559,10 @@ func (o *Omega) AcquireTag(pid, dst int) (core.Grant, bool) {
 	return core.Grant{Processor: pid, Port: port, Path: pg}, true
 }
 
-// verify panics with a *invariant.Violation when the runtime checks
-// are on and the dynamic state is structurally inconsistent.
+// verify panics with a *invariant.Violation when the dynamic state is
+// structurally inconsistent. Callers guard it with invariant.Enabled(),
+// so with checks off the hot paths pay no call.
 func (o *Omega) verify() {
-	if !invariant.Enabled() {
-		return
-	}
 	if err := o.VerifyState(); err != nil {
 		panic(err)
 	}
@@ -627,7 +639,9 @@ func (o *Omega) ReleasePath(g core.Grant) {
 	}
 	o.portBusy[g.Port] = false
 	o.sync(g.Port)
-	o.verify()
+	if invariant.Enabled() {
+		o.verify()
+	}
 }
 
 // ReleaseResource implements core.Network. This is the grant's final
@@ -760,5 +774,5 @@ func (o *Omega) FreeResources(j int) int { return o.free[j] }
 var _ core.Network = (*Omega)(nil)
 var _ core.TelemetrySource = (*Omega)(nil)
 var _ core.DetailSource = (*Omega)(nil)
-var _ core.AvailabilityHinter = (*Omega)(nil)
+var _ core.BlockHinter = (*Omega)(nil)
 var _ core.RejectSource = (*Omega)(nil)

@@ -78,6 +78,17 @@ func kernelDiffNets(p int) []kernelDiffNet {
 			return core.NewPartitioned(subs)
 		}})
 	}
+	if p >= 256 {
+		// The figures' large-p crossbar systems: 64-wide partitions,
+		// whose hopeless waiters the wake engine charges per partition.
+		nets = append(nets, kernelDiffNet{"PART-XBAR", func() core.Network {
+			subs := make([]core.Network, p/64)
+			for i := range subs {
+				subs[i] = crossbar.New(64, 64, 1)
+			}
+			return core.NewPartitioned(subs)
+		}})
+	}
 	if p == 16 {
 		nets = append(nets, kernelDiffNet{"PART-OMEGA", func() core.Network {
 			return core.NewPartitioned([]core.Network{omega.New(8, 2), omega.New(8, 2)})

@@ -36,7 +36,9 @@ type oracleProcState struct {
 // disables the core.AvailabilityHinter fast path so the oracle
 // exercises the plain Acquire protocol, and the packed 24-byte event:
 // schedule takes (t, kind, pid, gidx) and stamps the kind into seq, and
-// the loop unpacks kind, pid and gidx once per popped event.
+// the loop unpacks kind, pid and gidx once per popped event. Its waiter
+// set is one block of p (newWaiterSet's span argument): the oracle
+// never uses the block counts.
 func runOracle(net core.Network, cfg Config, legacyWake bool) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -81,7 +83,7 @@ func runOracle(net core.Network, cfg Config, legacyWake bool) (res Result, err e
 	procs := make([]oracleProcState, p)
 	grants := newGrantTable()
 
-	blocked := newWaiterSet(p)
+	blocked := newWaiterSet(p, p)
 	var hinter core.AvailabilityHinter
 	if !legacyWake {
 		hinter, _ = net.(core.AvailabilityHinter)

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"rsin/internal/core"
@@ -270,6 +271,17 @@ type kernel struct {
 	rrStart     int   // WakeRoundRobin starting processor
 	retryPend   []bool
 
+	// Block-aware wake state (see wake). bh is the network's block hint,
+	// nil when it has none: the waiters then form one block that no
+	// pass ever finds hopeless. dead marks the deferred blocks: found
+	// hopeless by a pass they were not touched in, skipped since, and
+	// owing every pass after paid[b].
+	bh     core.BlockHinter
+	dead   []uint64
+	ndead  int // deferred blocks; 0 lets touch skip the lookup
+	paid   []int64
+	passes int64 // wake passes run so far
+
 	// headSince[pid] is the simulated time pid's current head-of-queue
 	// task became eligible to transmit: the first instant the engine
 	// could attempt allocation for it (task at the head AND processor
@@ -340,7 +352,6 @@ func newKernel(net core.Network, cfg Config) *kernel {
 		pt:        newProcTable(p, p),
 		grants:    newGrantTable(),
 		q:         newCalendarQueue(p),
-		blocked:   newWaiterSet(p),
 		retryPend: make([]bool, p),
 		headSince: make([]float64, p),
 		probe:     cfg.Probe,
@@ -348,6 +359,19 @@ func newKernel(net core.Network, cfg Config) *kernel {
 		responses: stats.NewBatchMeans(int64(cfg.BatchSize)),
 	}
 	k.hinter, _ = net.(core.AvailabilityHinter)
+	span := p
+	if bh, ok := net.(core.BlockHinter); ok {
+		k.bh = bh
+		if s := bh.HintSpan(); s < p {
+			if s <= 0 {
+				panic(fmt.Sprintf("sim: %s reports hint span %d", net.Name(), s))
+			}
+			span = s
+		}
+	}
+	k.blocked = newWaiterSet(p, span)
+	k.dead = make([]uint64, len(k.blocked.blocks))
+	k.paid = make([]int64, len(k.blocked.count))
 	if cfg.WakePolicy == WakeRandom {
 		k.wakeScratch = make([]int, p)
 	}
@@ -398,6 +422,7 @@ func (k *kernel) run() (Result, error) {
 		switch e.kind() {
 		case evArrival:
 			if err := k.onArrival(int(e.pid)); err != nil {
+				k.settleAll()
 				return Result{}, err
 			}
 		case evTxDone:
@@ -406,6 +431,7 @@ func (k *kernel) run() (Result, error) {
 			k.onSvcDone(int(e.gidx))
 		case evRetry:
 			k.retryPend[e.pid] = false
+			k.touch(int(e.pid))
 			k.tryStart(int(e.pid))
 		}
 		if invariant.Enabled() {
@@ -433,6 +459,7 @@ func (k *kernel) run() (Result, error) {
 
 // result assembles the run's Result from the closed accumulators.
 func (k *kernel) result() Result {
+	k.settleAll() // the telemetry read below must include every deferred probe
 	res := Result{
 		Delay:     k.delays.Interval(0.95),
 		Response:  k.responses.Interval(0.95),
@@ -522,6 +549,7 @@ func (k *kernel) onArrival(pid int) error {
 	if k.probe != nil {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindEnqueue, Pid: pid, Port: -1, Req: req, Aux: int64(k.pt.queued(pid))})
 	}
+	k.touch(pid)
 	k.tryStart(pid)
 	k.schedule(k.now+k.src.Exp(k.rates[pid]), evArrival, pid, 0)
 	return nil
@@ -533,6 +561,7 @@ func (k *kernel) onArrival(pid int) error {
 //lint:hotpath
 func (k *kernel) onTxDone(pid, gidx int) {
 	g := k.grants.get(gidx)
+	k.touch(pid)
 	k.net.ReleasePath(g)
 	k.pt.transmitting[pid] = false
 	if k.pt.qlen[pid] > 0 {
@@ -553,7 +582,7 @@ func (k *kernel) onTxDone(pid, gidx int) {
 	}
 	// The freed path (and bus) may unblock queued tasks, including this
 	// processor's own next task.
-	k.wake()
+	k.wake(pid)
 }
 
 // onSvcDone completes a task's service: the resource is released, the
@@ -563,6 +592,7 @@ func (k *kernel) onTxDone(pid, gidx int) {
 //lint:hotpath
 func (k *kernel) onSvcDone(gidx int) {
 	s := k.grants.take(gidx)
+	k.touch(s.g.Processor)
 	k.net.ReleaseResource(s.g)
 	k.inService--
 	k.servedTotal++
@@ -604,7 +634,7 @@ func (k *kernel) onSvcDone(gidx int) {
 		})
 	}
 	// The freed resource may unblock queued tasks.
-	k.wake()
+	k.wake(s.g.Processor)
 }
 
 // startTx begins transmission for pid's head-of-queue task (already
@@ -701,9 +731,10 @@ func (k *kernel) tryStart(pid int) bool {
 	return true
 }
 
-// wake retries blocked processors after a release. It visits only the
-// registered blocked waiters, in the exact order a full rescan of all
-// p processors would reach them (the pre-incremental engine, frozen in
+// wake retries blocked processors after processor released's grant
+// freed its path or resource. It visits only the registered blocked
+// waiters, in the exact order a full rescan of all p processors would
+// reach them (the pre-incremental engine, frozen in
 // kernel_oracle_test.go), so results are bit-for-bit identical:
 //
 //   - tryStart is a strict no-op (no Acquire, no RNG draw) for any
@@ -715,62 +746,192 @@ func (k *kernel) tryStart(pid int) bool {
 //     the members the pass itself grants;
 //   - the full-rescan engine repeats passes while any pass made
 //     progress, and its hopeless re-probes land in network telemetry,
-//     so this engine repeats identically rather than stopping early
-//     (the AvailabilityHinter keeps those re-probes O(1));
+//     so this engine repeats identically rather than stopping early;
 //   - WakeRandom draws a full permutation per pass either way
 //     (PermInto consumes exactly Perm's variates) and filters it by
 //     membership, preserving the RNG stream.
 //
+// The walk is block-aware (core.BlockHinter). A block whose hint
+// answers "hopeless" at the start of a pass stays hopeless all pass:
+// only grants and releases inside the block change its answer, and a
+// hopeless block grants nothing. Its waiters' probes would only add
+// telemetry — no Acquire, no probe event, no random draw — so classify
+// charges them in bulk: at once for the touched block (released's
+// block, whose network the release changed), and for any other block
+// lazily, by deferring it. A deferred
+// block is skipped by every later pass until touch settles its debt
+// with one call, before an arrival, retry or release next reaches it.
+// Telemetry counters are sums, so moving those additions in time
+// changes no result. Blocks whose hint answers "live" — Omega blocks
+// whose waiters path-block inside the boxes — are walked waiter by
+// waiter as before, keeping every reject event and LaneRandom draw in
+// place.
+//
 // With RetryJitter set, retries are instead scheduled after independent
 // exponential delays — the paper's de-synchronization suggestion —
-// visiting waiters in ascending order.
+// visiting every waiter in ascending order, hopeless or not (each
+// retry draws a delay), so no pass runs and nothing is deferred.
 //
 //lint:hotpath post-release retry engine
-func (k *kernel) wake() {
+func (k *kernel) wake(released int) {
 	if k.cfg.RetryJitter > 0 {
-		for pid := k.blocked.next(0); pid != -1; pid = k.blocked.next(pid + 1) {
-			if k.retryPend[pid] {
-				continue
-			}
-			k.retryPend[pid] = true
-			k.schedule(k.now+k.src.Exp(1/k.cfg.RetryJitter), evRetry, pid, 0)
-		}
+		k.walk(0, k.p, -1)
 		return
 	}
-	switch k.cfg.WakePolicy {
-	case WakeIndexOrder:
-		for progress := true; progress; {
-			progress = false
-			for pid := k.blocked.next(0); pid != -1; pid = k.blocked.next(pid + 1) {
-				if k.tryStart(pid) {
-					progress = true
-				}
-			}
-		}
-	case WakeRoundRobin:
+	if k.cfg.WakePolicy == WakeRoundRobin {
 		k.rrStart = (k.rrStart + 1) % k.p
-		for progress := true; progress; {
-			progress = false
-			for pid := k.blocked.next(k.rrStart); pid != -1; pid = k.blocked.next(pid + 1) {
-				if k.tryStart(pid) {
-					progress = true
-				}
-			}
-			for pid := k.blocked.next(0); pid != -1 && pid < k.rrStart; pid = k.blocked.next(pid + 1) {
-				if k.tryStart(pid) {
-					progress = true
-				}
-			}
+	}
+	touched := int(k.blocked.block[released])
+	for progress := true; progress; {
+		// A pass over no waiters changes nothing, except that WakeRandom
+		// draws its permutation all the same.
+		if k.blocked.empty() && k.cfg.WakePolicy != WakeRandom {
+			return
 		}
-	case WakeRandom:
-		for progress := true; progress; {
+		k.passes++
+		skip := k.classify(touched)
+		switch k.cfg.WakePolicy {
+		case WakeIndexOrder:
+			progress = k.walk(0, k.p, skip)
+		case WakeRoundRobin:
+			progress = k.walk(k.rrStart, k.p, skip)
+			if k.walk(0, k.rrStart, skip) {
+				progress = true
+			}
+		case WakeRandom:
 			progress = false
 			k.src.PermInto(k.wakeScratch)
 			for _, pid := range k.wakeScratch {
-				if k.blocked.contains(pid) && k.tryStart(pid) {
-					progress = true
+				if k.blocked.contains(pid) {
+					b := int(k.blocked.block[pid])
+					if b != skip && !k.deferred(b) && k.tryStart(pid) {
+						progress = true
+					}
 				}
 			}
+		}
+	}
+}
+
+// classify opens a wake pass: it asks the block hint about every block
+// with waiters that is not deferred yet. A hopeless touched block has
+// its waiters charged for this pass in one call and is returned, for
+// the pass to skip; a hopeless untouched block is deferred from this
+// pass on. It returns -1 when the touched block is live.
+//
+//lint:hotpath once per wake pass
+func (k *kernel) classify(touched int) (skip int) {
+	skip = -1
+	if k.bh == nil {
+		return skip
+	}
+	span := k.blocked.span
+	for b := k.nextLive(0); b != -1; b = k.nextLive(b + 1) {
+		if b == touched {
+			if k.bh.AcquireWouldFailN(b*span, k.blocked.count[b]) {
+				skip = b
+			}
+		} else if k.bh.AcquireWouldFailN(b*span, 0) {
+			k.dead[b>>6] |= 1 << uint(b&63)
+			k.ndead++
+			k.paid[b] = k.passes - 1
+		}
+	}
+	return skip
+}
+
+// walk visits the waiters in [lo, hi) in ascending order, except those
+// of deferred blocks and of block skip, and reports whether any was
+// granted.
+//
+//lint:hotpath one wake pass
+func (k *kernel) walk(lo, hi, skip int) (progress bool) {
+	jitter, span := k.cfg.RetryJitter > 0, k.blocked.span
+	for b := k.nextLive(int(k.blocked.block[lo])); b != -1 && b*span < hi; b = k.nextLive(b + 1) {
+		if b == skip {
+			continue
+		}
+		end := min((b+1)*span, hi)
+		for pid := k.blocked.next(max(lo, b*span)); pid != -1 && pid < end; pid = k.blocked.next(pid + 1) {
+			if jitter {
+				k.retryLater(pid)
+			} else if k.tryStart(pid) {
+				progress = true
+			}
+		}
+	}
+	return progress
+}
+
+// retryLater schedules pid's allocation attempt after an exponential
+// RetryJitter delay, unless one is already pending.
+//
+//lint:hotpath
+func (k *kernel) retryLater(pid int) {
+	if !k.retryPend[pid] {
+		k.retryPend[pid] = true
+		k.schedule(k.now+k.src.Exp(1/k.cfg.RetryJitter), evRetry, pid, 0)
+	}
+}
+
+// nextLive returns the smallest block ≥ from that has waiters and is
+// not deferred, or -1.
+//
+//lint:hotpath
+func (k *kernel) nextLive(from int) int {
+	blocks := k.blocked.blocks
+	for w := from >> 6; w < len(blocks); w++ {
+		word := blocks[w] &^ k.dead[w]
+		if w == from>>6 {
+			word = word >> uint(from&63) << uint(from&63)
+		}
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// deferred reports whether block b is deferred.
+//
+//lint:hotpath
+func (k *kernel) deferred(b int) bool { return k.dead[b>>6]&(1<<uint(b&63)) != 0 }
+
+// touch settles the block of pid before an arrival, retry or release
+// changes its waiters or its network state.
+//
+//lint:hotpath runs before every arrival, retry and release
+func (k *kernel) touch(pid int) {
+	if k.ndead != 0 {
+		k.settle(int(k.blocked.block[pid]))
+	}
+}
+
+// settle pays block b's debt if it is deferred: one hopeless probe per
+// waiter for every pass since paid[b], in one call. Nothing has touched
+// the block since it was deferred, so it is still hopeless and its
+// waiters are still the ones those passes skipped.
+//
+//lint:hotpath
+func (k *kernel) settle(b int) {
+	if !k.deferred(b) {
+		return
+	}
+	k.dead[b>>6] &^= 1 << uint(b&63)
+	k.ndead--
+	owed := (k.passes - k.paid[b]) * int64(k.blocked.count[b])
+	hopeless := k.bh.AcquireWouldFailN(b*k.blocked.span, int(owed))
+	if invariant.Enabled() {
+		invariant.Assert(hopeless, "sim", "deferred block %d turned live before it was settled", b)
+	}
+}
+
+// settleAll settles every deferred block, so network telemetry holds
+// every probe the wake passes made.
+func (k *kernel) settleAll() {
+	for w, word := range k.dead {
+		for ; word != 0; word &= word - 1 {
+			k.settle(w<<6 + bits.TrailingZeros64(word))
 		}
 	}
 }

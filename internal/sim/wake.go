@@ -12,14 +12,35 @@ import (
 // bitset so the engine's release-time retry scan walks only the
 // waiters (in index order, via next) instead of rescanning all p
 // processors, while add/remove/contains stay O(1).
+//
+// The processors are grouped in blocks of span, the groups that share
+// one status broadcast (core.BlockHinter). The set counts the members
+// of each block and keeps a bitset of the blocks that have any, so a
+// wake pass can treat a hopeless block as one unit.
 type waiterSet struct {
-	words []uint64
-	n     int // current member count
+	words  []uint64
+	n      int // current member count
+	span   int
+	block  []int32  // block[pid] = pid / span, looked up, not divided, on the hot paths
+	count  []int    // members per block
+	blocks []uint64 // bit b set iff block b has members
 }
 
-// newWaiterSet returns an empty set over processors [0, p).
-func newWaiterSet(p int) *waiterSet {
-	return &waiterSet{words: make([]uint64, (p+63)/64)}
+// newWaiterSet returns an empty set over processors [0, p) in blocks of
+// span.
+func newWaiterSet(p, span int) *waiterSet {
+	nb := (p + span - 1) / span
+	ws := &waiterSet{
+		words:  make([]uint64, (p+63)/64),
+		span:   span,
+		block:  make([]int32, p),
+		count:  make([]int, nb),
+		blocks: make([]uint64, (nb+63)/64),
+	}
+	for pid := range ws.block {
+		ws.block[pid] = int32(pid / span)
+	}
+	return ws
 }
 
 // add inserts pid; inserting a member is a no-op.
@@ -30,6 +51,11 @@ func (ws *waiterSet) add(pid int) {
 	if ws.words[w]&(1<<b) == 0 {
 		ws.words[w] |= 1 << b
 		ws.n++
+		blk := ws.block[pid]
+		if ws.count[blk] == 0 {
+			ws.blocks[blk>>6] |= 1 << uint(blk&63)
+		}
+		ws.count[blk]++
 	}
 }
 
@@ -41,6 +67,11 @@ func (ws *waiterSet) remove(pid int) {
 	if ws.words[w]&(1<<b) != 0 {
 		ws.words[w] &^= 1 << b
 		ws.n--
+		blk := ws.block[pid]
+		ws.count[blk]--
+		if ws.count[blk] == 0 {
+			ws.blocks[blk>>6] &^= 1 << uint(blk&63)
+		}
 	}
 }
 
@@ -87,9 +118,10 @@ func (ws *waiterSet) next(from int) int {
 
 // blockedInvariant recounts the blocked predicate from the ground-truth
 // processor state and pins the incremental waiter set to it: pid is a
-// member iff it is idle with a nonempty queue. Run after every event
-// under the invariant build (invariant.Enabled), it is the brute-force
-// oracle the bitset bookkeeping must match.
+// member iff it is idle with a nonempty queue, and every block's member
+// count and bit match a recount. Run after every event under the
+// invariant build (invariant.Enabled), it is the brute-force oracle the
+// bitset bookkeeping must match.
 func blockedInvariant(pt *procTable, ws *waiterSet) error {
 	count := 0
 	for pid := range pt.transmitting {
@@ -106,6 +138,19 @@ func blockedInvariant(pt *procTable, ws *waiterSet) error {
 	if count != ws.n {
 		return invariant.Errorf("sim",
 			"wake-list count drift: %d processors blocked, set size %d", count, ws.n)
+	}
+	for blk, c := range ws.count {
+		n := 0
+		for pid := blk * ws.span; pid < min((blk+1)*ws.span, len(pt.transmitting)); pid++ {
+			if ws.contains(pid) {
+				n++
+			}
+		}
+		if n != c || (c > 0) != (ws.blocks[blk>>6]&(1<<uint(blk&63)) != 0) {
+			return invariant.Errorf("sim",
+				"wake-list block drift: block %d has %d waiters, count %d, bitset %v",
+				blk, n, c, ws.blocks[blk>>6]&(1<<uint(blk&63)) != 0)
+		}
 	}
 	return nil
 }

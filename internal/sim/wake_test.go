@@ -6,16 +6,18 @@ import (
 	"testing"
 
 	"rsin/internal/bus"
+	"rsin/internal/config"
 	"rsin/internal/core"
 	"rsin/internal/crossbar"
 	"rsin/internal/invariant"
 	"rsin/internal/obs"
 	"rsin/internal/omega"
+	"rsin/internal/queueing"
 	"rsin/internal/rng"
 )
 
 func TestWaiterSetBasics(t *testing.T) {
-	ws := newWaiterSet(130) // spans three words
+	ws := newWaiterSet(130, 130) // spans three words
 	if !ws.empty() {
 		t.Fatal("new set not empty")
 	}
@@ -58,11 +60,12 @@ func TestWaiterSetBasics(t *testing.T) {
 
 // TestWaiterSetPropertyVsMap drives the bitset with a random operation
 // mix and checks every answer against a reference map implementation,
-// including full ascending iteration after each step.
+// including full ascending iteration and the per-block member counts
+// (blocks of 7, the last one partial) after each step.
 func TestWaiterSetPropertyVsMap(t *testing.T) {
-	const p = 200
+	const p, span = 200, 7
 	src := rng.New(0xbadcafe)
-	ws := newWaiterSet(p)
+	ws := newWaiterSet(p, span)
 	ref := map[int]bool{}
 	for step := 0; step < 5000; step++ {
 		pid := src.Intn(p)
@@ -94,6 +97,17 @@ func TestWaiterSetPropertyVsMap(t *testing.T) {
 		if seen != len(ref) {
 			t.Fatalf("step %d: iterated %d members, ref has %d", step, seen, len(ref))
 		}
+		for b, c := range ws.count {
+			want := 0
+			for m := range ref {
+				if m/span == b {
+					want++
+				}
+			}
+			if bit := ws.blocks[b>>6]&(1<<uint(b&63)) != 0; c != want || bit != (want > 0) {
+				t.Fatalf("step %d: block %d count %d bit %v, ref has %d members", step, b, c, bit, want)
+			}
+		}
 	}
 }
 
@@ -114,6 +128,27 @@ func diffNets() map[string]func() core.Network {
 				bus.New(4, 2), bus.New(4, 2), bus.New(4, 2), bus.New(4, 2),
 			})
 		},
+		// Partitioned crossbars: hopeless partitions the release did not
+		// touch are deferred and settled later.
+		"PART-XBAR": func() core.Network {
+			return core.NewPartitioned([]core.Network{
+				crossbar.New(4, 2, 1), crossbar.New(4, 2, 1), crossbar.New(4, 2, 1), crossbar.New(4, 2, 1),
+			})
+		},
+		// Partitioned Omega networks: untouched partitions whose waiters
+		// path-block stay live and are walked waiter by waiter.
+		"PART-OMEGA": func() core.Network {
+			return core.NewPartitioned([]core.Network{omega.New(8, 2), omega.New(8, 2)})
+		},
+		// The same with random lane choice: every walked waiter's failed
+		// route draws from the network's generator, so a waiter skipped
+		// or visited out of order shifts the stream.
+		"PART-OMEGA-LR": func() core.Network {
+			mk := func(seed uint64) core.Network {
+				return omega.New(8, 2, omega.WithLanePolicy(omega.LaneRandom), omega.WithSeed(seed))
+			}
+			return core.NewPartitioned([]core.Network{mk(1), mk(2)})
+		},
 	}
 }
 
@@ -129,6 +164,10 @@ func diffLambda(name string) float64 {
 		return 1.2 // heavy path contention
 	case "PART":
 		return 0.4 // per-partition bus utilization ≈ 0.8
+	case "PART-XBAR":
+		return 0.4 // resource intensity ≈ 0.8
+	case "PART-OMEGA", "PART-OMEGA-LR":
+		return 1.2 // heavy path contention, as OMEGA
 	default:
 		panic("unknown diff net " + name)
 	}
@@ -215,38 +254,94 @@ func TestWakeEngineDifferentialTrace(t *testing.T) {
 	}
 }
 
+// countingNet forwards a network with a block hint and counts the
+// calls the kernel makes into its grant path and its hints.
+type countingNet struct {
+	core.Network
+	bh       core.BlockHinter
+	acquires int64
+	hints    int64 // AcquireWouldFail and AcquireWouldFailN calls
+}
+
+func (c *countingNet) Acquire(pid int) (core.Grant, bool) {
+	c.acquires++
+	return c.Network.Acquire(pid)
+}
+
+func (c *countingNet) AcquireWouldFail(pid int) bool {
+	c.hints++
+	return c.bh.AcquireWouldFail(pid)
+}
+
+func (c *countingNet) HintSpan() int { return c.bh.HintSpan() }
+
+func (c *countingNet) AcquireWouldFailN(pid, n int) bool {
+	c.hints++
+	return c.bh.AcquireWouldFailN(pid, n)
+}
+
 // BenchmarkWakeEngines measures the incremental blocked-waiter engine
-// in its target regime: large p, high resource intensity (ρ ≈ 0.85),
-// where every release wakes a large waiter set.
+// in its target regime: high resource intensity, where every release
+// wakes a large waiter set. Each row also reports the hint and Acquire
+// calls the kernel made per run, counted by countingNet, so a change in
+// ns/op can be read against the probe work behind it.
 func BenchmarkWakeEngines(b *testing.B) {
 	// The package's test init forces invariant checks on, which adds an
 	// O(p) recount per event and would mask the wake engine's cost.
 	// Measure the production configuration.
 	invariant.Enable(false)
 	defer invariant.Enable(true)
+	big := func(spec string) func() core.Network {
+		return func() core.Network {
+			c, err := config.Parse(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			net, err := c.Build(config.BuildOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return net
+		}
+	}
 	cases := []struct {
-		name string
-		mk   func() core.Network
-		lam  float64
+		name     string
+		mk       func() core.Network
+		lam      float64
+		muN, muS float64
+		warmup   float64
+		samples  int
 	}{
 		// 64 processors on one bus at ≈0.9 bus utilization: nearly every
 		// processor queues, so every release wakes a large waiter set.
-		{"SBUS-p64", func() core.Network { return bus.New(64, 128) }, 0.9 * 1.0 / 64},
+		{"SBUS-p64", func() core.Network { return bus.New(64, 128) }, 0.9 * 1.0 / 64, 4, 1, 100, 20000},
 		// 64 and 128 processors on resource-scarce crossbars at ρ ≈ 0.85.
-		{"XBAR-p64", func() core.Network { return crossbar.New(64, 8, 2) }, 0.85 * 16 / 64},
-		{"XBAR-p128", func() core.Network { return crossbar.New(128, 16, 2) }, 0.85 * 32 / 128},
+		{"XBAR-p64", func() core.Network { return crossbar.New(64, 8, 2) }, 0.85 * 16 / 64, 4, 1, 100, 20000},
+		{"XBAR-p128", func() core.Network { return crossbar.New(128, 16, 2) }, 0.85 * 32 / 128, 4, 1, 100, 20000},
+		// The large-p partitioned systems at ρ = 0.8, μs/μn = 0.1: 64
+		// independent 64-wide sub-networks, where most waiters sit in
+		// partitions a release did not touch.
+		{"4096/64x64x64_XBAR/1", big("4096/64x64x64 XBAR/1"), queueing.LambdaForIntensity(0.8, 4096, 1, 0.1, 4096), 1, 0.1, 100, 20000},
+		{"4096/64x64x64_OMEGA/1", big("4096/64x64x64 OMEGA/1"), queueing.LambdaForIntensity(0.8, 4096, 1, 0.1, 4096), 1, 0.1, 100, 20000},
 	}
 	for _, c := range cases {
 		b.Run(c.name+"/incremental", func(b *testing.B) {
+			var acquires, hints int64
 			for i := 0; i < b.N; i++ {
+				net := c.mk()
+				cn := &countingNet{Network: net, bh: net.(core.BlockHinter)}
 				cfg := Config{
-					Lambda: c.lam, MuN: 4, MuS: 1,
-					Seed: 1, Warmup: 100, Samples: 20000,
+					Lambda: c.lam, MuN: c.muN, MuS: c.muS,
+					Seed: 1, Warmup: c.warmup, Samples: c.samples,
 				}
-				if _, err := Run(c.mk(), cfg); err != nil {
+				if _, err := Run(cn, cfg); err != nil {
 					b.Fatal(err)
 				}
+				acquires += cn.acquires
+				hints += cn.hints
 			}
+			b.ReportMetric(float64(hints)/float64(b.N), "hints/op")
+			b.ReportMetric(float64(acquires)/float64(b.N), "acquires/op")
 		})
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"rsin/internal/core"
 	"rsin/internal/crossbar"
 	"rsin/internal/experiments"
-	"rsin/internal/markov"
 	"rsin/internal/obs"
 	"rsin/internal/omega"
 	"rsin/internal/queueing"
@@ -291,33 +290,6 @@ func BenchmarkWiringComparison(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkMarkovSolverComparison compares the three SBUS chain solvers
-// on the canonical private-bus chain (the cross-check of Section III).
-func BenchmarkMarkovSolverComparison(b *testing.B) {
-	p := markov.Params{P: 16, Lambda: 0.05, MuN: 1, MuS: 0.1, R: 32}
-	b.Run("matrix-geometric", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := markov.SolveMatrixGeometric(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("block-tridiagonal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := markov.SolveTruncated(p, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("paper-stages", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := markov.SolveStages(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkCellWave measures the gate-level request-cycle evaluation of

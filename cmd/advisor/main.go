@@ -10,26 +10,40 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rsin/internal/experiments"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "advisor:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes Table II, or the one recommendation the
+// flags select, to stdout. Usage errors go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("advisor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		cost  = flag.String("cost", "", "network cost relative to resources: cheap, comparable, dear")
-		ratio = flag.Float64("ratio", 1, "μs/μn ratio of the application")
+		cost  = fs.String("cost", "", "network cost relative to resources: cheap, comparable, dear")
+		ratio = fs.Float64("ratio", 1, "μs/μn ratio of the application")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cost == "" {
-		if err := experiments.RenderTableII(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "advisor:", err)
-			os.Exit(1)
-		}
-		return
+		return experiments.RenderTableII(stdout)
 	}
 	var rel experiments.CostRelation
 	switch *cost {
@@ -40,9 +54,9 @@ func main() {
 	case "dear":
 		rel = experiments.NetMuchDearer
 	default:
-		fmt.Fprintf(os.Stderr, "advisor: unknown -cost %q (want cheap, comparable, dear)\n", *cost)
-		os.Exit(1)
+		return fmt.Errorf("unknown -cost %q (want cheap, comparable, dear)", *cost)
 	}
 	r := experiments.Advise(rel, *ratio)
-	fmt.Printf("%s, μs/μn = %g (%s regime):\n  use a %s\n", r.Relation, *ratio, r.Ratio, r.Network)
+	_, err := fmt.Fprintf(stdout, "%s, μs/μn = %g (%s regime):\n  use a %s\n", r.Relation, *ratio, r.Ratio, r.Network)
+	return err
 }

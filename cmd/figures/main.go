@@ -32,8 +32,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -50,35 +52,53 @@ import (
 )
 
 func main() {
-	var (
-		which    = flag.String("fig", "all", "which artifact: 4, 5, 7, 8, 11, 12, 13, blocking, compare, table1, table2, ratio, frontier, all")
-		quick    = flag.Bool("quick", false, "use the fast preset (noisier confidence intervals)")
-		format   = flag.String("format", "text", "output format for figure tables: text or csv")
-		workers  = flag.Int("workers", 0, "worker goroutines per sweep (0 = all CPUs); results are identical for any value")
-		reps     = flag.Int("reps", 1, "independent replications per sweep point, pooled into one estimate")
-		shards   = flag.Int("shards", 0, "route simulated sweep cells through the sharded per-sub-network orchestrator batched into this many jobs (0 = classic single event loop; incompatible with -attr/-series)")
-		progress = flag.Bool("progress", false, "report live per-sweep progress on stderr")
-		timing   = flag.Bool("timing", true, "report per-artifact wall-clock timing on stderr")
-		check    = flag.Bool("check", false, "enable runtime model-invariant checks (see internal/invariant)")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
+}
 
-		traceOut   = flag.String("trace", "", "write a wall-clock Chrome trace_event JSON of the worker pool's job schedule to this file (open in Perfetto)")
-		metricsOut = flag.String("metrics", "", "write per-artifact runner telemetry (wall time, worker occupancy, job count) as JSON to this file")
-		attrOut    = flag.String("attr", "", "collect a latency-attribution report for every simulated sweep cell and write them as one rsin-attr-set/1 JSON file (byte-identical for any -workers value)")
-		attrTopK   = flag.Int("attr-topk", 10, "slowest requests kept per run in the -attr reports")
-		seriesOut  = flag.String("series", "", "collect simulated-time series (queue length, busy resources, blocked waiters) for every simulated sweep cell into one rsin-series-set/1 JSON file")
-		seriesDt   = flag.Float64("series-dt", 1, "simulated-time grid step for -series samples")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
+// run parses args and regenerates the requested artifacts: tables go to
+// stdout, progress and timing commentary to stderr through one sink.
+// Errors come back to the caller, which reports them.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		which    = fs.String("fig", "all", "which artifact: 4, 5, 7, 8, 11, 12, 13, blocking, compare, table1, table2, ratio, frontier, all")
+		quick    = fs.Bool("quick", false, "use the fast preset (noisier confidence intervals)")
+		format   = fs.String("format", "text", "output format for figure tables: text or csv")
+		workers  = fs.Int("workers", 0, "worker goroutines per sweep (0 = all CPUs); results are identical for any value")
+		reps     = fs.Int("reps", 1, "independent replications per sweep point, pooled into one estimate")
+		shards   = fs.Int("shards", 0, "route simulated sweep cells through the sharded per-sub-network orchestrator batched into this many jobs (0 = classic single event loop; incompatible with -attr/-series)")
+		progress = fs.Bool("progress", false, "report live per-sweep progress on stderr")
+		timing   = fs.Bool("timing", true, "report per-artifact wall-clock timing on stderr")
+		check    = fs.Bool("check", false, "enable runtime model-invariant checks (see internal/invariant)")
+
+		traceOut   = fs.String("trace", "", "write a wall-clock Chrome trace_event JSON of the worker pool's job schedule to this file (open in Perfetto)")
+		metricsOut = fs.String("metrics", "", "write per-artifact runner telemetry (wall time, worker occupancy, job count) as JSON to this file")
+		attrOut    = fs.String("attr", "", "collect a latency-attribution report for every simulated sweep cell and write them as one rsin-attr-set/1 JSON file (byte-identical for any -workers value)")
+		attrTopK   = fs.Int("attr-topk", 10, "slowest requests kept per run in the -attr reports")
+		seriesOut  = fs.String("series", "", "collect simulated-time series (queue length, busy resources, blocked waiters) for every simulated sweep cell into one rsin-series-set/1 JSON file")
+		seriesDt   = fs.Float64("series-dt", 1, "simulated-time grid step for -series samples")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *check {
 		invariant.Enable(true)
 	}
-	sink := obs.NewSink(os.Stderr)
+	sink := obs.NewSink(stderr)
+	defer sink.Flush() // clear any status line before the caller reports an error
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
-			fatal(sink, err)
+			return err
 		}
 		defer stop()
 	}
@@ -98,7 +118,7 @@ func main() {
 	q.Reps = *reps
 	q.Shards = *shards
 	if *shards > 0 && (*attrOut != "" || *seriesOut != "") {
-		fatal(sink, fmt.Errorf("-shards is incompatible with -attr/-series: the observation hook attaches one probe per sweep cell, which has no per-sub-network form (use cmd/rsinsim -shards for merged attribution and series)"))
+		return fmt.Errorf("-shards is incompatible with -attr/-series: the observation hook attaches one probe per sweep cell, which has no per-sub-network form (use cmd/rsinsim -shards for merged attribution and series)")
 	}
 	var collector *obsCollector
 	if *attrOut != "" || *seriesOut != "" {
@@ -107,13 +127,13 @@ func main() {
 	collectTelemetry := *traceOut != "" || *metricsOut != "" || *timing
 	render := func(fig experiments.Figure) error {
 		if *format == "csv" {
-			return fig.RenderCSV(os.Stdout)
+			return fig.RenderCSV(stdout)
 		}
-		return fig.Render(os.Stdout)
+		return fig.Render(stdout)
 	}
 	rhos := workload.PaperRhoGrid()
 
-	run := func(name string) error {
+	regen := func(name string) error {
 		if *progress {
 			q.Progress = runner.SinkProgress(sink, "fig "+name)
 		}
@@ -167,11 +187,11 @@ func main() {
 			}
 			return render(fig)
 		case "11":
-			return experiments.RenderFig11(os.Stdout)
+			return experiments.RenderFig11(stdout)
 		case "table1":
-			return experiments.RenderTableI(os.Stdout)
+			return experiments.RenderTableI(stdout)
 		case "table2":
-			return experiments.RenderTableII(os.Stdout)
+			return experiments.RenderTableII(stdout)
 		case "ratio":
 			fig, err := experiments.FigRatioSweep(0.7, experiments.PaperRatioGrid(), q)
 			if err != nil {
@@ -196,7 +216,7 @@ func main() {
 				if err != nil {
 					return err
 				}
-				if err := experiments.RenderFrontier(os.Stdout, fc.title, entries, fc.tol); err != nil {
+				if err := experiments.RenderFrontier(stdout, fc.title, entries, fc.tol); err != nil {
 					return err
 				}
 			}
@@ -230,8 +250,8 @@ func main() {
 		if collector != nil {
 			q.Observe = collector.observe(n)
 		}
-		if err := run(n); err != nil {
-			fatal(sink, err)
+		if err := regen(n); err != nil {
+			return err
 		}
 		if *timing {
 			var s runner.Summary
@@ -259,7 +279,7 @@ func main() {
 		if err := writeJSONFile(*traceOut, func(f *os.File) error {
 			return obs.WriteTraceJSON(f, events)
 		}); err != nil {
-			fatal(sink, err)
+			return err
 		}
 	}
 	if *metricsOut != "" {
@@ -294,14 +314,13 @@ func main() {
 			_, err = f.Write(append(data, '\n'))
 			return err
 		}); err != nil {
-			fatal(sink, err)
+			return err
 		}
 	}
 	if collector != nil {
-		if err := collector.write(*attrOut, *seriesOut); err != nil {
-			fatal(sink, err)
-		}
+		return collector.write(*attrOut, *seriesOut)
 	}
+	return nil
 }
 
 // obsCollector gathers per-cell attribution reports and time series
@@ -393,13 +412,6 @@ func sortedLabels[V any](m map[string]V) []string {
 	}
 	sort.Strings(labels)
 	return labels
-}
-
-// fatal reports err on the sink (clearing any transient status line
-// first) and exits.
-func fatal(sink *obs.Sink, err error) {
-	sink.Logf("figures: %v", err)
-	os.Exit(1)
 }
 
 // writeJSONFile creates path and hands it to write, closing cleanly.

@@ -47,8 +47,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -65,51 +67,68 @@ import (
 )
 
 func main() {
-	var (
-		cfgStr   = flag.String("config", "16/1x16x16 OMEGA/2", "system configuration in p/ixjxk NET/r notation")
-		ratio    = flag.Float64("ratio", 0.1, "μs/μn ratio (transmission rate μn is fixed at 1)")
-		rho      = flag.Float64("rho", 0.5, "traffic intensity of the 16/32 reference system")
-		lambda   = flag.Float64("lambda", 0, "per-processor arrival rate (overrides -rho if > 0)")
-		samples  = flag.Int("samples", 200000, "post-warmup delay samples")
-		warmup   = flag.Float64("warmup", 2000, "warmup period (simulated time)")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		reps     = flag.Int("reps", 1, "independent replications, pooled into one estimate")
-		workers  = flag.Int("workers", 0, "worker goroutines for replications (0 = all CPUs)")
-		shards   = flag.Int("shards", 0, "run the independent sub-networks as a sharded simulation batched into this many jobs, merged deterministically (0 = classic single event loop; output is byte-identical for any positive value)")
-		analytic = flag.Bool("analytic", false, "use the exact Markov analysis (SBUS configurations only)")
-		check    = flag.Bool("check", false, "enable runtime model-invariant checks (see internal/invariant)")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "rsinsim:", err)
+		os.Exit(1)
+	}
+}
 
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON of the simulated lifecycle to this file (open in Perfetto; byte-identical for any -workers value)")
-		metricsOut = flag.String("metrics", "", "write per-replication metrics snapshots (counters, time-weighted gauges, delay histograms) as JSON to this file")
-		attrOut    = flag.String("attr", "", "write per-replication latency-attribution reports (rsin-attr-set/1 JSON) to this file")
-		attrTopK   = flag.Int("attr-topk", 10, "slowest requests kept per replication in the -attr report")
-		seriesOut  = flag.String("series", "", "write per-replication simulated-time series (rsin-series-set/1 JSON) to this file")
-		seriesDt   = flag.Float64("series-dt", 1, "simulated-time grid step for -series samples")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
+// run parses args, runs the requested simulation or analysis and
+// writes its report to stdout. Errors come back to the caller, which
+// reports them; diagnostics that do not fail the run go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("rsinsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		cfgStr   = fs.String("config", "16/1x16x16 OMEGA/2", "system configuration in p/ixjxk NET/r notation")
+		ratio    = fs.Float64("ratio", 0.1, "μs/μn ratio (transmission rate μn is fixed at 1)")
+		rho      = fs.Float64("rho", 0.5, "traffic intensity of the 16/32 reference system")
+		lambda   = fs.Float64("lambda", 0, "per-processor arrival rate (overrides -rho if > 0)")
+		samples  = fs.Int("samples", 200000, "post-warmup delay samples")
+		warmup   = fs.Float64("warmup", 2000, "warmup period (simulated time)")
+		seed     = fs.Uint64("seed", 1, "simulation seed")
+		reps     = fs.Int("reps", 1, "independent replications, pooled into one estimate")
+		workers  = fs.Int("workers", 0, "worker goroutines for replications (0 = all CPUs)")
+		shards   = fs.Int("shards", 0, "run the independent sub-networks as a sharded simulation batched into this many jobs, merged deterministically (0 = classic single event loop; output is byte-identical for any positive value)")
+		analytic = fs.Bool("analytic", false, "use the exact Markov analysis (SBUS configurations only)")
+		check    = fs.Bool("check", false, "enable runtime model-invariant checks (see internal/invariant)")
+
+		traceOut   = fs.String("trace", "", "write a Chrome trace_event JSON of the simulated lifecycle to this file (open in Perfetto; byte-identical for any -workers value)")
+		metricsOut = fs.String("metrics", "", "write per-replication metrics snapshots (counters, time-weighted gauges, delay histograms) as JSON to this file")
+		attrOut    = fs.String("attr", "", "write per-replication latency-attribution reports (rsin-attr-set/1 JSON) to this file")
+		attrTopK   = fs.Int("attr-topk", 10, "slowest requests kept per replication in the -attr report")
+		seriesOut  = fs.String("series", "", "write per-replication simulated-time series (rsin-series-set/1 JSON) to this file")
+		seriesDt   = fs.Float64("series-dt", 1, "simulated-time grid step for -series samples")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *check {
 		invariant.Enable(true)
 	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer stop()
 	}
 	if *memProfile != "" {
 		defer func() {
 			if err := obs.WriteHeapProfile(*memProfile); err != nil {
-				fmt.Fprintln(os.Stderr, "rsinsim:", err)
+				fmt.Fprintln(stderr, "rsinsim:", err)
 			}
 		}()
 	}
 
 	cfg, err := config.Parse(*cfgStr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	muN := 1.0
 	muS := *ratio * muN
@@ -118,38 +137,38 @@ func main() {
 		lam = queueing.LambdaForIntensity(*rho, 16, muN, muS, 32)
 	}
 	effRho := queueing.TrafficIntensity(cfg.Processors, lam, muN, muS, cfg.TotalResources())
-	fmt.Printf("configuration: %s  (%d processors, %d ports, %d resources)\n",
+	fmt.Fprintf(stdout, "configuration: %s  (%d processors, %d ports, %d resources)\n",
 		cfg, cfg.Processors, cfg.Networks*cfg.Outputs, cfg.TotalResources())
-	fmt.Printf("rates: λ=%.6g per processor, μn=%g, μs=%g (μs/μn=%g)\n", lam, muN, muS, *ratio)
-	fmt.Printf("traffic intensity: %.4g (own-system), %.4g (16/32 reference)\n",
+	fmt.Fprintf(stdout, "rates: λ=%.6g per processor, μn=%g, μs=%g (μs/μn=%g)\n", lam, muN, muS, *ratio)
+	fmt.Fprintf(stdout, "traffic intensity: %.4g (own-system), %.4g (16/32 reference)\n",
 		effRho, queueing.TrafficIntensity(16, lam, muN, muS, 32))
 
 	if *analytic {
 		if cfg.Type != config.SBUS {
-			fatal(fmt.Errorf("-analytic supports SBUS configurations only (got %s)", cfg.Type))
+			return fmt.Errorf("-analytic supports SBUS configurations only (got %s)", cfg.Type)
 		}
 		res, err := markov.SolveMatrixGeometric(markov.Params{
 			P: cfg.Inputs, Lambda: lam, MuN: muN, MuS: muS, R: cfg.PerPort,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("analytic delay d        : %.6g\n", res.Delay)
-		fmt.Printf("normalized delay d·μs   : %.6g\n", res.NormalizedDelay)
-		fmt.Printf("bus utilization         : %.4g\n", invariant.MustProbability("markov", "bus utilization", res.BusUtilization))
-		fmt.Printf("resource utilization    : %.4g\n", invariant.MustProbability("markov", "resource utilization", res.ResourceUtil))
-		fmt.Printf("P(all resources busy)   : %.4g\n", invariant.MustProbability("markov", "P(all busy)", res.PAllBusy))
-		return
+		fmt.Fprintf(stdout, "analytic delay d        : %.6g\n", res.Delay)
+		fmt.Fprintf(stdout, "normalized delay d·μs   : %.6g\n", res.NormalizedDelay)
+		fmt.Fprintf(stdout, "bus utilization         : %.4g\n", invariant.MustProbability("markov", "bus utilization", res.BusUtilization))
+		fmt.Fprintf(stdout, "resource utilization    : %.4g\n", invariant.MustProbability("markov", "resource utilization", res.ResourceUtil))
+		fmt.Fprintf(stdout, "P(all resources busy)   : %.4g\n", invariant.MustProbability("markov", "P(all busy)", res.PAllBusy))
+		return nil
 	}
 
 	if *reps < 1 {
 		*reps = 1
 	}
 	if *shards < 0 {
-		fatal(fmt.Errorf("-shards must be non-negative (got %d)", *shards))
+		return fmt.Errorf("-shards must be non-negative (got %d)", *shards)
 	}
 	if *shards > 0 && *metricsOut != "" {
-		fatal(fmt.Errorf("-metrics is not supported with -shards: metric registries have no shard merge (use -trace, -attr, or -series)"))
+		return fmt.Errorf("-metrics is not supported with -shards: metric registries have no shard merge (use -trace, -attr, or -series)")
 	}
 	sw := obs.NewStopwatch()
 	// Per-replication observers: each replication owns its probe (in
@@ -224,11 +243,11 @@ func main() {
 			}
 			plan, results, err := shard.RunSubs(shcfg)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			res, err := shard.Merge(plan, muS, results)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			outs[r] = repOut{res: res}
 			if subTraces != nil {
@@ -248,7 +267,7 @@ func main() {
 				}
 				merged, err := obs.MergeSeries(repLabel(cfg.String(), r), runs)
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				seriesMerged[r] = merged
 			}
@@ -302,13 +321,13 @@ func main() {
 	}
 	for _, o := range outs {
 		if o.err != nil {
-			fatal(o.err)
+			return o.err
 		}
 	}
 	res := outs[0].res
 	if *traceOut != "" {
 		if err := writeTraceFile(*traceOut, traces); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *metricsOut != "" {
@@ -317,7 +336,7 @@ func main() {
 			snaps[r] = regs[r].Snapshot(outs[r].res.SimTime)
 		}
 		if err := writeMetricsFile(*metricsOut, snaps); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *attrOut != "" {
@@ -328,7 +347,7 @@ func main() {
 		if err := writeObsFile(*attrOut, func(f *os.File) error {
 			return obs.WriteAttributions(f, atts)
 		}); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *seriesOut != "" {
@@ -343,45 +362,41 @@ func main() {
 		if err := writeObsFile(*seriesOut, func(f *os.File) error {
 			return obs.WriteSeries(f, series)
 		}); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("wall-clock              : %s\n", sw.Elapsed().Round(time.Millisecond))
+	fmt.Fprintf(stdout, "wall-clock              : %s\n", sw.Elapsed().Round(time.Millisecond))
 	if *reps > 1 {
-		fmt.Printf("replications            : %d\n", *reps)
+		fmt.Fprintf(stdout, "replications            : %d\n", *reps)
 		var sum, hw2 float64
 		for r, o := range outs {
-			fmt.Printf("  rep %-2d delay d        : %s\n", r, o.res.Delay)
+			fmt.Fprintf(stdout, "  rep %-2d delay d        : %s\n", r, o.res.Delay)
 			sum += o.res.Delay.Mean
 			hw2 += o.res.Delay.HalfWide * o.res.Delay.HalfWide
 		}
 		n := float64(*reps)
 		pooled := stats.CI{Mean: sum / n, HalfWide: math.Sqrt(hw2) / n, N: int64(*reps) * res.Delay.N}
-		fmt.Printf("pooled delay d          : %s\n", pooled)
-		fmt.Printf("pooled normalized d·μs  : %s\n",
+		fmt.Fprintf(stdout, "pooled delay d          : %s\n", pooled)
+		fmt.Fprintf(stdout, "pooled normalized d·μs  : %s\n",
 			stats.CI{Mean: pooled.Mean * muS, HalfWide: pooled.HalfWide * muS, N: pooled.N})
-		return
+		return nil
 	}
-	fmt.Printf("simulated delay d       : %s\n", res.Delay)
-	fmt.Printf("normalized delay d·μs   : %s\n", res.NormalizedDelay)
-	fmt.Printf("mean queue length       : %.4g\n", res.MeanQueue)
-	fmt.Printf("port utilization        : %.4g\n", invariant.MustProbability("sim", "port utilization", res.Utilization))
-	fmt.Printf("tasks completed         : %d over %.4g time units\n", res.Completed, res.SimTime)
+	fmt.Fprintf(stdout, "simulated delay d       : %s\n", res.Delay)
+	fmt.Fprintf(stdout, "normalized delay d·μs   : %s\n", res.NormalizedDelay)
+	fmt.Fprintf(stdout, "mean queue length       : %.4g\n", res.MeanQueue)
+	fmt.Fprintf(stdout, "port utilization        : %.4g\n", invariant.MustProbability("sim", "port utilization", res.Utilization))
+	fmt.Fprintf(stdout, "tasks completed         : %d over %.4g time units\n", res.Completed, res.SimTime)
 	tel := res.Telemetry
 	if tel.Attempts > 0 {
-		fmt.Printf("allocation attempts     : %d (%.2f%% blocked: %d resource, %d path)\n",
+		fmt.Fprintf(stdout, "allocation attempts     : %d (%.2f%% blocked: %d resource, %d path)\n",
 			tel.Attempts, 100*float64(tel.Failures)/float64(tel.Attempts),
 			tel.ResourceBlock, tel.PathBlock)
 	}
 	if tel.Grants > 0 && tel.BoxVisits > 0 {
-		fmt.Printf("interchange box visits  : %.3f per grant (%d rejects)\n",
+		fmt.Fprintf(stdout, "interchange box visits  : %.3f per grant (%d rejects)\n",
 			float64(tel.BoxVisits)/float64(tel.Grants), tel.Rejects)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rsinsim:", err)
-	os.Exit(1)
+	return nil
 }
 
 // writeTraceFile merges the per-replication traces (replication r is

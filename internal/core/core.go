@@ -216,12 +216,16 @@ type Partitioned struct {
 }
 
 // NewPartitioned builds a partitioned system from identical
-// sub-networks. All sub-networks must have the same processor count.
+// sub-networks. All sub-networks must have the same, positive processor
+// count.
 func NewPartitioned(subs []Network) *Partitioned {
 	if len(subs) == 0 {
 		panic("core: NewPartitioned requires at least one sub-network")
 	}
 	per := subs[0].Processors()
+	if per <= 0 {
+		panic(fmt.Sprintf("core: sub-networks must have at least one processor, got %d", per))
+	}
 	ports, res := 0, 0
 	portBase := make([]int, len(subs))
 	for i, s := range subs {

@@ -83,10 +83,16 @@ func TestPartitionedTelemetryAggregation(t *testing.T) {
 	}
 }
 
+// noProcs reports a sub-network without processors.
+type noProcs struct{ core.Network }
+
+func (noProcs) Processors() int { return 0 }
+
 func TestPartitionedPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"empty":          func() { core.NewPartitioned(nil) },
 		"mismatched":     func() { core.NewPartitioned([]core.Network{bus.New(2, 1), bus.New(3, 1)}) },
+		"no processors":  func() { core.NewPartitioned([]core.Network{noProcs{bus.New(2, 1)}}) },
 		"pid out of set": func() { newTwoBusSystem().Acquire(99) },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -263,6 +263,3 @@ func (a *CellArray) cycle(request bool, xIn, yIn []bool) CycleResult {
 
 // Latch reports the latch state of cell (i, j).
 func (a *CellArray) Latch(i, j int) bool { return a.latches[i][j].Q() }
-
-// Shape returns the array dimensions (p rows, m columns).
-func (a *CellArray) Shape() (p, m int) { return a.p, a.m }

@@ -21,7 +21,6 @@ import (
 
 	"rsin/internal/config"
 	"rsin/internal/obs"
-	"rsin/internal/queueing"
 	"rsin/internal/runner"
 	"rsin/internal/shard"
 	"rsin/internal/sim"
@@ -408,10 +407,10 @@ func poolPoint(reps []Point) Point {
 }
 
 // Sweep runs one configuration over the ρ grid at the given μs/μn
-// ratio and returns its normalized-delay series — the exported
-// single-curve entry point used by the CLIs and benchmarks. The sweep
-// executes on the parallel runner with the same seed derivation as the
-// figures (series index 0).
+// ratio and returns its normalized-delay series — the single-curve
+// entry point of the root BenchmarkParallelSweep and the determinism
+// tests. The sweep executes on the parallel runner with the same seed
+// derivation as the figures (series index 0).
 func Sweep(cfg config.Config, ratio float64, rhos []float64, q Quality) (Series, error) {
 	const muN = 1.0
 	return simSeries(cfg, muN, ratio*muN, rhos, q, config.BuildOptions{}, 0)
@@ -428,10 +427,4 @@ func parseConfigs(specs ...string) ([]config.Config, error) {
 		cfgs[i] = c
 	}
 	return cfgs, nil
-}
-
-// rhoFor returns the paper's reference-system traffic intensity for a
-// given per-processor arrival rate on the canonical plant.
-func rhoFor(lambda, muN, muS float64) float64 {
-	return queueing.TrafficIntensity(PlantProcessors, lambda, muN, muS, PlantResources)
 }

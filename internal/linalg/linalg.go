@@ -111,23 +111,6 @@ func Mul(a, b *Matrix) *Matrix {
 	return c
 }
 
-// MulVec returns the matrix-vector product a·x.
-func MulVec(a *Matrix, x []float64) []float64 {
-	if a.Cols != len(x) {
-		panic(fmt.Sprintf("linalg: cannot multiply %dx%d by vector of length %d", a.Rows, a.Cols, len(x)))
-	}
-	y := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		s := 0.0
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
 // VecMul returns the vector-matrix product xᵀ·a as a vector.
 func VecMul(x []float64, a *Matrix) []float64 {
 	if a.Rows != len(x) {
@@ -144,17 +127,6 @@ func VecMul(x []float64, a *Matrix) []float64 {
 		}
 	}
 	return y
-}
-
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // LU is an LU factorization with partial pivoting: P·A = L·U.

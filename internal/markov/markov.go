@@ -13,19 +13,17 @@
 //
 // The chain is a quasi-birth-death (QBD) process: levels l ≥ 1 all share
 // the same (r+1)-state structure with identical transition blocks, and
-// level 0 is a boundary level with 2r+1 states. Three solvers are
-// provided and cross-validated in the tests, mirroring the paper's own
-// four-digit cross-check between its iterative procedure and a direct
-// balance-equation solve:
-//
-//   - SolveMatrixGeometric: exact matrix-geometric solution π_{l+1}=π_l·R.
-//   - SolveTruncated: direct solve of the generator truncated at a queue
-//     level, via block-tridiagonal backward recursion.
-//   - SolveStages: the paper's iterative procedure — pick elementary
-//     states at a high stage, express lower stages in terms of higher
-//     ones (possible because the up-block Λ·I is trivially invertible
-//     while the down-block is singular), and grow the stage count until
-//     the delay estimate stabilizes.
+// level 0 is a boundary level with 2r+1 states. SolveMatrixGeometric
+// solves it exactly: π_{l+1} = π_l·R. The tests cross-validate it
+// against two independent oracles kept in _test.go files, mirroring
+// the paper's own four-digit cross-check between its iterative
+// procedure and a direct balance-equation solve: a direct solve of the
+// generator truncated at a queue level (block-tridiagonal backward
+// recursion), and the paper's iterative stage procedure — pick
+// elementary states at a high stage, express lower stages in terms of
+// higher ones (possible because the up-block Λ·I is trivially
+// invertible while the down-block is singular), and grow the stage
+// count until the delay estimate stabilizes.
 package markov
 
 import (
@@ -276,4 +274,24 @@ func metricsFromDistribution(p Params, pi0 []float64, levels [][]float64) Result
 	res.ResourceUtil = es / float64(r)
 	res.Levels = len(levels) + 1
 	return res
+}
+
+// nullRowVector finds a non-trivial row vector x with x·M = 0,
+// normalized so its entries sum to 1 before downstream rescaling. It
+// replaces the first balance equation with Σx = 1 (valid because a
+// generator's columns are linearly dependent).
+func nullRowVector(m *linalg.Matrix) ([]float64, error) {
+	n := m.Rows
+	g := m.Clone()
+	for i := 0; i < n; i++ {
+		g.Set(i, 0, 1)
+	}
+	gt := transpose(g)
+	rhs := make([]float64, n)
+	rhs[0] = 1
+	x, err := linalg.SolveLinear(gt, rhs)
+	if err != nil {
+		return nil, fmt.Errorf("markov: boundary nullspace solve failed: %w", err)
+	}
+	return x, nil
 }

@@ -316,27 +316,39 @@ func TestTruncatedExplicitLevels(t *testing.T) {
 	}
 }
 
+// BenchmarkMarkovSolvers times the production solver against the two
+// test oracles on two chains: a small one (r = 8, μs/μn = 1) and the
+// paper's canonical private-bus chain (16 processors, r = 32,
+// μs/μn = 0.1) behind the Section III cross-check.
 func BenchmarkMarkovSolvers(b *testing.B) {
-	p := Params{P: 16, Lambda: 0.05, MuN: 1, MuS: 1, R: 8}
-	b.Run("matrix-geometric", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := SolveMatrixGeometric(p); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"P16-R8-mus1", Params{P: 16, Lambda: 0.05, MuN: 1, MuS: 1, R: 8}},
+		{"P16-R32-mus0.1", Params{P: 16, Lambda: 0.05, MuN: 1, MuS: 0.1, R: 32}},
+	} {
+		p := c.p
+		b.Run(c.name+"/matrix-geometric", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := SolveMatrixGeometric(p); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("truncated", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := SolveTruncated(p, 0); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(c.name+"/truncated", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := SolveTruncated(p, 0); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("stages", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := SolveStages(p); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(c.name+"/stages", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := SolveStages(p); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }

@@ -8,6 +8,10 @@ import (
 	"rsin/internal/linalg"
 )
 
+// The paper's iterative stage method, kept as a test oracle: it solves
+// the same chain as SolveMatrixGeometric, the production solver, and
+// the tests hold the two to the paper's four-digit agreement.
+
 // SolveStages implements the paper's iterative solution procedure
 // (Section III): place the elementary states at stage q+1 (treating the
 // probabilities above it as zero), solve the finite system, and repeat
@@ -101,7 +105,7 @@ func solveStagesAt(p Params, q int) (Result, error) {
 		lower := linalg.Mul(cur, a1).AddM(linalg.Mul(above, a2)).Scale(-1 / lam)
 		m[l-2] = lower
 		above = cur
-		if bad := lower.MaxAbs(); math.IsInf(bad, 0) || math.IsNaN(bad) || bad > 1e280 {
+		if bad := maxAbs(lower); math.IsInf(bad, 0) || math.IsNaN(bad) || bad > 1e280 {
 			return Result{}, fmt.Errorf("markov: stage recursion overflowed at q=%d (precision exhausted)", q)
 		}
 	}
@@ -141,11 +145,12 @@ func solveStagesAt(p Params, q int) (Result, error) {
 	for _, mat := range m {
 		sumM.AddM(mat)
 	}
-	ones := make([]float64, d)
-	for i := range ones {
-		ones[i] = 1
+	sumMOnes := make([]float64, d) // sumM·1
+	for i := range sumMOnes {
+		for j := 0; j < d; j++ {
+			sumMOnes[i] += sumM.At(i, j)
+		}
 	}
-	sumMOnes := linalg.MulVec(sumM, ones)
 	for i := 0; i < d0; i++ {
 		g.Set(i, 0, 1)
 	}
@@ -176,4 +181,15 @@ func solveStagesAt(p Params, q int) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// maxAbs returns the largest absolute element value of m.
+func maxAbs(m *linalg.Matrix) float64 {
+	max := 0.0
+	for _, v := range m.Data {
+		if a := math.Abs(v); a > max {
+			max = a
+		}
+	}
+	return max
 }

@@ -7,6 +7,10 @@ import (
 	"rsin/internal/linalg"
 )
 
+// The block-tridiagonal truncated solve, kept as a test oracle beside
+// SolveStages: a third, independent solution of the chain that
+// SolveMatrixGeometric solves in production.
+
 // SolveTruncated solves the stationary distribution of the bus chain
 // directly from the balance equations of the generator truncated at
 // maxLevels queue levels (arrivals are suppressed at the top level so
@@ -130,24 +134,4 @@ func solveTruncatedMass(p Params, maxLevel int) (Result, float64, error) {
 func negRightSolve(u *linalg.Matrix, luM *linalg.LU) *linalg.Matrix {
 	inv := luM.Inverse()
 	return linalg.Mul(u, inv).Scale(-1)
-}
-
-// nullRowVector finds a non-trivial row vector x with x·M = 0,
-// normalized so its entries sum to 1 before downstream rescaling. It
-// replaces the first balance equation with Σx = 1 (valid because a
-// generator's columns are linearly dependent).
-func nullRowVector(m *linalg.Matrix) ([]float64, error) {
-	n := m.Rows
-	g := m.Clone()
-	for i := 0; i < n; i++ {
-		g.Set(i, 0, 1)
-	}
-	gt := transpose(g)
-	rhs := make([]float64, n)
-	rhs[0] = 1
-	x, err := linalg.SolveLinear(gt, rhs)
-	if err != nil {
-		return nil, fmt.Errorf("markov: boundary nullspace solve failed: %w", err)
-	}
-	return x, nil
 }

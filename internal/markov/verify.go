@@ -10,7 +10,9 @@ import (
 
 // topKind tells the verifier how a solver treated the top of the level
 // ladder, which decides which balance equations its solution can be
-// held to.
+// held to. SolveMatrixGeometric is the production solver; the truncated
+// and literal kinds belong to the test oracles (stages_test.go,
+// truncated_test.go), which run the same verifier.
 type topKind int
 
 const (

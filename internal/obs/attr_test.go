@@ -95,7 +95,7 @@ func TestAttrRecorderEventZeroAlloc(t *testing.T) {
 	}
 	i := int64(8)
 	allocs := testing.AllocsPerRun(1000, func() {
-		a.Event(complete(i, float64(1+i%16), 1, 0, float64(i % 16), 0))
+		a.Event(complete(i, float64(1+i%16), 1, 0, float64(i%16), 0))
 		i++
 	})
 	if allocs != 0 {

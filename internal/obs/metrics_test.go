@@ -3,7 +3,6 @@ package obs
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -38,16 +37,6 @@ func TestCounterRejectsNegativeAdd(t *testing.T) {
 	c.Add(0) // zero is a legal no-op delta
 	if got := c.Value(); got != 4 {
 		t.Fatalf("Value() after Add(0) = %d, want 4", got)
-	}
-}
-
-func TestUpDownAcceptsAnySign(t *testing.T) {
-	var u UpDown
-	u.Add(5)
-	u.Add(-8)
-	u.Add(2)
-	if got := u.Value(); got != -1 {
-		t.Fatalf("Value() = %d, want -1", got)
 	}
 }
 
@@ -97,46 +86,5 @@ func TestGaugeRejectsNonFinite(t *testing.T) {
 	}
 	if got := g.meanAt(2); got != 2 {
 		t.Fatalf("meanAt(2) after rejected Add = %g, want 2", got)
-	}
-}
-
-func TestRegistryUpDownSnapshot(t *testing.T) {
-	reg := NewRegistry()
-	if reg.UpDown("sim.outstanding") != reg.UpDown("sim.outstanding") {
-		t.Fatal("UpDown did not return the registered instance")
-	}
-	reg.UpDown("sim.outstanding").Add(7)
-	reg.UpDown("sim.outstanding").Add(-3)
-	reg.UpDown("sim.balance").Add(-2)
-	reg.Counter("sim.arrivals").Add(1)
-
-	snap := reg.Snapshot(10)
-	if len(snap.UpDowns) != 2 {
-		t.Fatalf("got %d updown snaps, want 2", len(snap.UpDowns))
-	}
-	// Sorted by name, values carried through.
-	if snap.UpDowns[0].Name != "sim.balance" || snap.UpDowns[0].Value != -2 {
-		t.Fatalf("updowns[0] = %+v", snap.UpDowns[0])
-	}
-	if snap.UpDowns[1].Name != "sim.outstanding" || snap.UpDowns[1].Value != 4 {
-		t.Fatalf("updowns[1] = %+v", snap.UpDowns[1])
-	}
-
-	var sb strings.Builder
-	if err := snap.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `"updowns"`) {
-		t.Fatal("snapshot JSON is missing the updowns section")
-	}
-
-	// A registry with no updowns keeps the v1 document shape: the
-	// section is omitted entirely, not emitted as null or [].
-	var sb2 strings.Builder
-	if err := NewRegistry().Snapshot(1).WriteJSON(&sb2); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb2.String(), "updowns") {
-		t.Fatal("empty registry snapshot mentions updowns")
 	}
 }

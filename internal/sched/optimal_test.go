@@ -139,3 +139,44 @@ func BenchmarkOptimalVsExhaustive(b *testing.B) {
 		}
 	})
 }
+
+// MaxAllocation exhaustively searches for the maximum number of
+// (processor, output-port) pairs that can be routed simultaneously on
+// an idle Omega network of the given size, with requesting processors
+// pids and free ports dsts — the centralized enumeration the paper
+// describes as requiring up to (x choose y)·y! trials. Exponential;
+// intended for small networks. It is the test oracle that
+// OptimalAllocation's max-flow answer is checked against.
+func MaxAllocation(n *omega.Omega, pids, dsts []int) int {
+	best := 0
+	used := make([]bool, len(dsts))
+	var rec func(i, granted int)
+	rec = func(i, granted int) {
+		remaining := len(pids) - i
+		if granted+remaining <= best {
+			return // prune: cannot beat best
+		}
+		if i == len(pids) {
+			if granted > best {
+				best = granted
+			}
+			return
+		}
+		// Option: leave this processor unallocated.
+		rec(i+1, granted)
+		for di, d := range dsts {
+			if used[di] {
+				continue
+			}
+			if g, ok := n.AcquireTag(pids[i], d); ok {
+				used[di] = true
+				rec(i+1, granted+1)
+				n.ReleasePath(g)
+				n.ReleaseResource(g)
+				used[di] = false
+			}
+		}
+	}
+	rec(0, 0)
+	return best
+}

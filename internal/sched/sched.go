@@ -12,10 +12,10 @@
 //     plus an O(log₂(p·m)) crosspoint setup; its cumulative cost
 //     reproduces the paper's O(p·log₂ m) bound for servicing p requests
 //     versus the distributed network's O(log₂ N) independent-of-p cost.
-//   - MaxAllocation: exhaustive optimal mapping search on an Omega
-//     network (the paper's enumeration baseline of (x choose y)·y!
-//     mappings), used to measure how close distributed scheduling gets
-//     to the optimum.
+//   - OptimalAllocation (optimal.go): the polynomial max-flow optimal
+//     mapping on an Omega network (the paper's reference [35]). The
+//     exhaustive enumeration of (x choose y)·y! mappings it replaces
+//     is kept in the tests as its oracle.
 package sched
 
 import (
@@ -24,7 +24,6 @@ import (
 	"math/bits"
 
 	"rsin/internal/logic"
-	"rsin/internal/omega"
 )
 
 // PriorityCircuit is a gate-level first-free-resource finder with
@@ -192,46 +191,6 @@ func (cs *CentralScheduler) Release(idx int) {
 		panic(fmt.Sprintf("sched: bad release of %d", idx))
 	}
 	cs.free[idx] = true
-}
-
-// MaxAllocation exhaustively searches for the maximum number of
-// (processor, output-port) pairs that can be routed simultaneously on
-// an idle Omega network of the given size, with requesting processors
-// pids and free ports dsts — the centralized enumeration the paper
-// describes as requiring up to (x choose y)·y! trials. Exponential;
-// intended for small networks.
-func MaxAllocation(n *omega.Omega, pids, dsts []int) int {
-	best := 0
-	used := make([]bool, len(dsts))
-	var rec func(i, granted int)
-	rec = func(i, granted int) {
-		remaining := len(pids) - i
-		if granted+remaining <= best {
-			return // prune: cannot beat best
-		}
-		if i == len(pids) {
-			if granted > best {
-				best = granted
-			}
-			return
-		}
-		// Option: leave this processor unallocated.
-		rec(i+1, granted)
-		for di, d := range dsts {
-			if used[di] {
-				continue
-			}
-			if g, ok := n.AcquireTag(pids[i], d); ok {
-				used[di] = true
-				rec(i+1, granted+1)
-				n.ReleasePath(g)
-				n.ReleaseResource(g)
-				used[di] = false
-			}
-		}
-	}
-	rec(0, 0)
-	return best
 }
 
 // MappingTrials returns the paper's bound on the number of ordered

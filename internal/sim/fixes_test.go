@@ -31,6 +31,16 @@ func (n *neverNet) Ports() int                         { return 1 }
 func (n *neverNet) TotalResources() int                { return 1 }
 func (n *neverNet) Name() string                       { return "never" }
 
+// shapeNet reports a shape other than its network's: the invalid
+// shapes Run must reject before building any per-processor state.
+type shapeNet struct {
+	core.Network
+	procs, ports int
+}
+
+func (n shapeNet) Processors() int { return n.procs }
+func (n shapeNet) Ports() int      { return n.ports }
+
 // TestDelayQuantileInterpolation pins the interpolating quantile
 // estimator. The pre-fix implementation truncated the fractional
 // position (biasing every quantile low: the median of {1,2,3,4} came
@@ -219,35 +229,44 @@ func TestResponseExcludesPreWarmupArrivals(t *testing.T) {
 // sign checks, so without an explicit finiteness check a NaN warmup
 // never warms up, a NaN or infinite rate stalls the event loop or
 // yields an empty "successful" run, and a NaN per-processor rate is
-// silently treated as zero. Each row runs under a deadline so a
-// regression fails the test instead of hanging it.
+// silently treated as zero. It also pins the network shape: a network
+// without processors used to panic dividing by zero in the waiter set,
+// and one without ports reported a NaN Utilization. Each row runs under
+// a deadline so a regression fails the test instead of hanging it.
 func TestRunRejectsNonFiniteInputs(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	rows := []struct {
 		name string
 		mod  func(*Config)
+		net  core.Network // nil: bus.New(4, 4)
 	}{
-		{"Lambda=NaN", func(c *Config) { c.Lambda = nan }},
-		{"Lambda=+Inf", func(c *Config) { c.Lambda = inf }},
-		{"Lambdas=NaN", func(c *Config) { c.Lambdas = []float64{0.1, nan, 0.1, 0.1} }},
-		{"Lambdas=+Inf", func(c *Config) { c.Lambdas = []float64{0.1, 0.1, inf, 0.1} }},
-		{"MuN=NaN", func(c *Config) { c.MuN = nan }},
-		{"MuN=+Inf", func(c *Config) { c.MuN = inf }},
-		{"MuS=NaN", func(c *Config) { c.MuS = nan }},
-		{"MuS=+Inf", func(c *Config) { c.MuS = inf }},
-		{"Warmup=NaN", func(c *Config) { c.Warmup = nan }},
-		{"Warmup=+Inf", func(c *Config) { c.Warmup = inf }},
-		{"Warmup=-Inf", func(c *Config) { c.Warmup = -inf }},
-		{"RetryJitter=NaN", func(c *Config) { c.RetryJitter = nan }},
-		{"RetryJitter=+Inf", func(c *Config) { c.RetryJitter = inf }},
+		{"Lambda=NaN", func(c *Config) { c.Lambda = nan }, nil},
+		{"Lambda=+Inf", func(c *Config) { c.Lambda = inf }, nil},
+		{"Lambdas=NaN", func(c *Config) { c.Lambdas = []float64{0.1, nan, 0.1, 0.1} }, nil},
+		{"Lambdas=+Inf", func(c *Config) { c.Lambdas = []float64{0.1, 0.1, inf, 0.1} }, nil},
+		{"MuN=NaN", func(c *Config) { c.MuN = nan }, nil},
+		{"MuN=+Inf", func(c *Config) { c.MuN = inf }, nil},
+		{"MuS=NaN", func(c *Config) { c.MuS = nan }, nil},
+		{"MuS=+Inf", func(c *Config) { c.MuS = inf }, nil},
+		{"Warmup=NaN", func(c *Config) { c.Warmup = nan }, nil},
+		{"Warmup=+Inf", func(c *Config) { c.Warmup = inf }, nil},
+		{"Warmup=-Inf", func(c *Config) { c.Warmup = -inf }, nil},
+		{"RetryJitter=NaN", func(c *Config) { c.RetryJitter = nan }, nil},
+		{"RetryJitter=+Inf", func(c *Config) { c.RetryJitter = inf }, nil},
+		{"Processors=0", func(*Config) {}, shapeNet{bus.New(4, 4), 0, 4}},
+		{"Ports=0", func(*Config) {}, shapeNet{bus.New(4, 4), 4, 0}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := Config{Lambda: 0.1, MuN: 1, MuS: 1, Seed: 1, Warmup: 10, Samples: 1000}
 			row.mod(&cfg)
+			net := row.net
+			if net == nil {
+				net = bus.New(4, 4)
+			}
 			done := make(chan error, 1)
 			go func() {
-				_, err := Run(bus.New(4, 4), cfg)
+				_, err := Run(net, cfg)
 				done <- err
 			}()
 			select {

@@ -208,19 +208,24 @@ func Run(net core.Network, cfg Config) (res Result, err error) {
 			panic(r)
 		}
 	}()
-	p := net.Processors()
-	if err := cfg.validate(p); err != nil {
+	if err := cfg.validate(net.Processors(), net.Ports()); err != nil {
 		return Result{}, err
 	}
 	return newKernel(net, cfg).run()
 }
 
-// validate rejects configurations the kernel cannot run. Every float
-// input must be finite: NaN compares false against every bound, so it
-// would slip past the sign checks, and a NaN or infinite rate, warmup,
-// or jitter either stalls the event loop (the warmup cut or the sample
-// count is never reached) or silently empties the run.
-func (cfg *Config) validate(p int) error {
+// validate rejects configurations the kernel cannot run on a network
+// of p processors and the given number of ports. The network needs at
+// least one of each: the per-processor tables are sized by p, and
+// Utilization divides by the port count. Every float input must be
+// finite: NaN compares false against every bound, so it would slip past
+// the sign checks, and a NaN or infinite rate, warmup, or jitter either
+// stalls the event loop (the warmup cut or the sample count is never
+// reached) or silently empties the run.
+func (cfg *Config) validate(p, ports int) error {
+	if p <= 0 || ports <= 0 {
+		return fmt.Errorf("sim: network has %d processors and %d ports; both must be positive", p, ports)
+	}
 	if !finite(cfg.Lambda) || !finite(cfg.MuN) || !finite(cfg.MuS) ||
 		cfg.Lambda < 0 || cfg.MuN <= 0 || cfg.MuS <= 0 {
 		return fmt.Errorf("sim: invalid rates λ=%g μn=%g μs=%g", cfg.Lambda, cfg.MuN, cfg.MuS)

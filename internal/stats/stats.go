@@ -2,14 +2,13 @@
 // simulations and experiment harness: streaming mean/variance (Welford),
 // time-weighted averages for state variables (queue lengths,
 // utilizations), batch-means confidence intervals for steady-state
-// simulation output, and simple fixed-width histograms.
+// simulation output, and log2-bucketed histograms.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"rsin/internal/linalg"
 )
@@ -341,130 +340,6 @@ func tQuantile(level float64, df int) float64 {
 	}
 }
 
-// Histogram is a fixed-width histogram over [lo, hi) with overflow and
-// underflow buckets.
-type Histogram struct {
-	lo, hi   float64
-	buckets  []int64
-	under    int64
-	over     int64
-	total    int64
-	sum      float64
-	widthInv float64
-}
-
-// NewHistogram returns a histogram with n equal-width buckets over
-// [lo, hi). n must be positive and hi > lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{
-		lo: lo, hi: hi,
-		buckets:  make([]int64, n),
-		widthInv: float64(n) / (hi - lo),
-	}
-}
-
-// Add incorporates one observation.
-//
-//lint:hotpath
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.sum += x
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		// x < hi does not guarantee the scaled index stays below the
-		// bucket count: (x-lo)*widthInv rounds up for x just below hi
-		// (e.g. lo=0, hi=0.1, n=3, x=0.09999999999999999 → index 3).
-		// Clamp to the last bucket instead of indexing out of range.
-		i := int((x - h.lo) * h.widthInv)
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// N returns the total number of observations.
-func (h *Histogram) N() int64 { return h.total }
-
-// Mean returns the sample mean of all observations (including ones
-// outside [lo, hi)).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Quantile returns an approximate q-quantile by scanning the buckets;
-// under/overflow observations are attributed to the lo and hi
-// boundaries respectively. q must lie in [0, 1]; q=1 is the rank of the
-// largest observation, so a histogram whose mass sits entirely in the
-// underflow bucket returns lo for every q, and one whose mass sits
-// entirely in the overflow bucket returns hi for every q (previously
-// that case returned hi only by loop fallthrough, and Quantile(1.0)
-// skipped past every bucket regardless of where the mass was).
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		panic(fmt.Sprintf("stats: quantile %g outside [0,1]", q))
-	}
-	if h.total == 0 {
-		return 0
-	}
-	// target is the zero-based rank of the quantile observation; clamp
-	// q=1 to the last rank so it selects the maximum, not one past it.
-	target := int64(q * float64(h.total))
-	if target >= h.total {
-		target = h.total - 1
-	}
-	c := h.under
-	if target < c {
-		return h.lo
-	}
-	width := (h.hi - h.lo) / float64(len(h.buckets))
-	for i, b := range h.buckets {
-		c += b
-		if target < c {
-			return h.lo + (float64(i)+0.5)*width
-		}
-	}
-	// The remaining mass is in the overflow bucket: attribute it to the
-	// upper boundary explicitly.
-	return h.hi
-}
-
-// Merge adds o's counts into h. Both histograms must share the same
-// bucket layout ([lo, hi) range and bucket count); Merge panics
-// otherwise. Counter addition is exact (integers) but the running sum is
-// floating-point, so callers that need byte-identical merged results
-// must fold shards in canonical ascending order — see internal/shard.
-func (h *Histogram) Merge(o *Histogram) {
-	//lint:ignore floatsafe exact layout-identity check: merging is only defined for bit-identical bounds, and NaN bounds must refuse to merge
-	if h.lo != o.lo || h.hi != o.hi || len(h.buckets) != len(o.buckets) {
-		panic(fmt.Sprintf("stats: merging histograms with layouts [%g,%g)/%d and [%g,%g)/%d",
-			h.lo, h.hi, len(h.buckets), o.lo, o.hi, len(o.buckets)))
-	}
-	for i, b := range o.buckets {
-		h.buckets[i] += b
-	}
-	h.under += o.under
-	h.over += o.over
-	h.total += o.total
-	h.sum += o.sum
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// NumBuckets returns the number of interior buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // Log2Histogram is a fixed-log2-bucket histogram: bucket i counts
 // observations in [2^(minExp+i), 2^(minExp+i+1)). Exponential bucketing
 // gives constant relative resolution across the many decades a queueing
@@ -579,18 +454,4 @@ func (h *Log2Histogram) Merge(o *Log2Histogram) {
 	h.over += o.over
 	h.total += o.total
 	h.sum += o.sum
-}
-
-// Median returns the sample median of a slice (not modified).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }

@@ -1,16 +1,15 @@
-// Package workload builds the parameter sweeps and synthetic arrival
-// traces behind the paper's evaluation. Every figure in the paper plots
-// normalized delay against the traffic intensity ρ of a hypothetical
-// reference system (one bus of rate p·μn, one resource of rate R·μs),
-// so experiment code works in ρ-space and converts to per-processor
-// arrival rates here.
+// Package workload builds the parameter sweeps behind the paper's
+// evaluation. Every figure in the paper plots normalized delay against
+// the traffic intensity ρ of a hypothetical reference system (one bus
+// of rate p·μn, one resource of rate R·μs), so experiment code works in
+// ρ-space and converts to per-processor arrival rates here. Arrivals
+// themselves are drawn inside the simulator (internal/sim, rng.Exp).
 package workload
 
 import (
 	"fmt"
 
 	"rsin/internal/queueing"
-	"rsin/internal/rng"
 )
 
 // Point is one operating point of a sweep.
@@ -54,57 +53,4 @@ func RhoGrid(lo, hi float64, n int) []float64 {
 // figures: light load through near saturation.
 func PaperRhoGrid() []float64 {
 	return RhoGrid(0.1, 0.9, 9)
-}
-
-// PoissonTrace returns n arrival instants of a Poisson process with the
-// given rate, starting at time 0.
-func PoissonTrace(src *rng.Source, rate float64, n int) []float64 {
-	if rate <= 0 {
-		panic("workload: rate must be positive")
-	}
-	ts := make([]float64, n)
-	t := 0.0
-	for i := range ts {
-		t += src.Exp(rate)
-		ts[i] = t
-	}
-	return ts
-}
-
-// BurstyTrace returns n arrival instants of a two-state on/off
-// modulated Poisson process: rate burstRate while "on", no arrivals
-// while "off"; phase durations are exponential with means onMean and
-// offMean. It models the bursty request patterns of the paper's
-// load-balancing motivation, where an overloaded processor sheds a
-// burst of excess tasks.
-func BurstyTrace(src *rng.Source, burstRate, onMean, offMean float64, n int) []float64 {
-	if burstRate <= 0 || onMean <= 0 || offMean <= 0 {
-		panic("workload: bursty trace parameters must be positive")
-	}
-	ts := make([]float64, 0, n)
-	t := 0.0
-	for len(ts) < n {
-		onEnd := t + src.Exp(1/onMean)
-		for {
-			dt := src.Exp(burstRate)
-			if t+dt > onEnd {
-				break
-			}
-			t += dt
-			ts = append(ts, t)
-			if len(ts) == n {
-				return ts
-			}
-		}
-		t = onEnd + src.Exp(1/offMean)
-	}
-	return ts
-}
-
-// MeanRate estimates the average arrival rate of a trace.
-func MeanRate(trace []float64) float64 {
-	if len(trace) < 2 || trace[len(trace)-1] <= trace[0] {
-		return 0
-	}
-	return float64(len(trace)-1) / (trace[len(trace)-1] - trace[0])
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rsin/internal/queueing"
-	"rsin/internal/rng"
 )
 
 func TestSweepInvertsRho(t *testing.T) {
@@ -39,48 +38,4 @@ func TestRhoGridPanics(t *testing.T) {
 		}
 	}()
 	RhoGrid(0.9, 0.1, 5)
-}
-
-func TestPoissonTraceRate(t *testing.T) {
-	src := rng.New(1)
-	trace := PoissonTrace(src, 2.5, 100000)
-	if !sort.Float64sAreSorted(trace) {
-		t.Fatal("trace not monotone")
-	}
-	if got := MeanRate(trace); math.Abs(got-2.5) > 0.05 {
-		t.Errorf("trace rate = %v, want ≈ 2.5", got)
-	}
-}
-
-func TestBurstyTraceProperties(t *testing.T) {
-	src := rng.New(2)
-	trace := BurstyTrace(src, 10, 1, 4, 50000)
-	if !sort.Float64sAreSorted(trace) {
-		t.Fatal("trace not monotone")
-	}
-	// Long-run rate ≈ burstRate·onMean/(onMean+offMean) = 10/5 = 2.
-	if got := MeanRate(trace); math.Abs(got-2) > 0.2 {
-		t.Errorf("bursty rate = %v, want ≈ 2", got)
-	}
-	// Burstiness: squared coefficient of variation of interarrivals
-	// well above 1 (Poisson would be ≈1).
-	var mean, m2 float64
-	n := 0
-	for i := 1; i < len(trace); i++ {
-		d := trace[i] - trace[i-1]
-		n++
-		delta := d - mean
-		mean += delta / float64(n)
-		m2 += delta * (d - mean)
-	}
-	cv2 := (m2 / float64(n-1)) / (mean * mean)
-	if cv2 < 1.5 {
-		t.Errorf("bursty trace CV² = %v, want > 1.5", cv2)
-	}
-}
-
-func TestMeanRateDegenerate(t *testing.T) {
-	if MeanRate(nil) != 0 || MeanRate([]float64{1}) != 0 {
-		t.Error("degenerate traces should report rate 0")
-	}
 }

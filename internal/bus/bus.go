@@ -134,6 +134,14 @@ func (b *Bus) Name() string {
 // Telemetry implements core.TelemetrySource.
 func (b *Bus) Telemetry() core.Telemetry { return b.tel }
 
+// Rejects implements core.RejectSource. The bus never rejects inside
+// its fabric, so the counter stays 0; reading it directly spares a
+// probed run the Telemetry copy core.RejectsOf would otherwise make
+// around every Acquire.
+//
+//lint:hotpath read around every Acquire when a probe is attached
+func (b *Bus) Rejects(int) int64 { return b.tel.Rejects }
+
 // FreeResources reports the current number of unreserved resources —
 // the status count the bus broadcasts to its processors.
 func (b *Bus) FreeResources() int { return b.free }
@@ -144,3 +152,4 @@ func (b *Bus) Busy() bool { return b.busBusy }
 var _ core.Network = (*Bus)(nil)
 var _ core.TelemetrySource = (*Bus)(nil)
 var _ core.BlockHinter = (*Bus)(nil)
+var _ core.RejectSource = (*Bus)(nil)

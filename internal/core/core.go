@@ -98,9 +98,9 @@ type RejectSource interface {
 }
 
 // RejectsOf returns the reject counter to read for n: n itself when it
-// implements RejectSource, else its Telemetry().Rejects (bus, crossbar
-// and wrappers that do not forward RejectSource), else a constant 0
-// for a network that keeps no telemetry at all.
+// implements RejectSource, else its Telemetry().Rejects (wrappers that
+// do not forward RejectSource), else a constant 0 for a network that
+// keeps no telemetry at all.
 func RejectsOf(n Network) RejectSource {
 	switch s := n.(type) {
 	case RejectSource:
@@ -174,6 +174,36 @@ type BlockHinter interface {
 	AcquireWouldFailN(pid, n int) bool
 }
 
+// FailureMemo is an optional BlockHinter extension for networks whose
+// failed Acquire is a pure function of the block's state: a request
+// refused once is refused again, with the same telemetry, until a
+// grant or release in its block changes that state. It lets the engine
+// stop re-routing a stuck block — live by the hint, but every waiter
+// refused by the fabric — and book its repeat failures in one call.
+//
+// RecordFailures switches the memo on and reports whether the network
+// supports it. It answers false when a failed attempt draws randomness
+// (the Omega LaneRandom policy): skipping the attempt would then shift
+// the random stream, not just the counters. It may also answer false
+// when no block of the network can ever be stuck. A network records
+// nothing until it is switched on, so runs that cannot use the memo
+// pay nothing for it.
+//
+// Once switched on, the network remembers which processors' plain
+// Acquire failed since their block's state last changed (a grant or a
+// release in it). RepeatFailures(pid, waiters, n) then updates
+// Telemetry and DetailCounters exactly as n more rounds of those
+// failed Acquires would, one per remembered processor of pid's block,
+// and changes nothing else; waiters is the number of processors the
+// caller expects the memo to cover. The block's state must not have
+// changed since the failures were recorded. Wrappers that decorate
+// networks should forward it, as they forward BlockHinter.
+type FailureMemo interface {
+	BlockHinter
+	RecordFailures() bool
+	RepeatFailures(pid, waiters, n int)
+}
+
 // NamedCounter is one fine-grained telemetry counter exposed by a
 // network: a stable name (used as a metrics key, so it must be
 // deterministic across runs) and its value.
@@ -200,6 +230,7 @@ type Partitioned struct {
 	subs     []Network
 	hinters  []AvailabilityHinter // parallel to subs; nil entry = no hint
 	blocks   []BlockHinter        // parallel to subs; nil entry = no whole-sub block hint
+	memos    []FailureMemo        // parallel to subs; nil unless every sub has a whole-sub memo
 	rejs     []RejectSource       // parallel to subs, from RejectsOf
 	perSub   int                  // processors per sub-network
 	ports    int
@@ -238,6 +269,7 @@ func NewPartitioned(subs []Network) *Partitioned {
 	}
 	hinters := make([]AvailabilityHinter, len(subs))
 	blocks := make([]BlockHinter, len(subs))
+	memos := make([]FailureMemo, len(subs))
 	rejs := make([]RejectSource, len(subs))
 	for i, s := range subs {
 		hinters[i], _ = s.(AvailabilityHinter)
@@ -245,13 +277,23 @@ func NewPartitioned(subs []Network) *Partitioned {
 		// sub-network cannot answer for a block of span per.
 		if b, ok := s.(BlockHinter); ok && b.HintSpan() >= per {
 			blocks[i] = b
+			memos[i], _ = s.(FailureMemo)
 		}
 		rejs[i] = RejectsOf(s)
+	}
+	// The engine defers a stuck block only if it can book the block's
+	// repeat failures, so the capability is all or nothing.
+	for _, m := range memos {
+		if m == nil {
+			memos = nil
+			break
+		}
 	}
 	return &Partitioned{
 		subs:     subs,
 		hinters:  hinters,
 		blocks:   blocks,
+		memos:    memos,
 		rejs:     rejs,
 		perSub:   per,
 		ports:    ports,
@@ -331,6 +373,30 @@ func (p *Partitioned) AcquireWouldFailN(pid, n int) bool {
 		return b.AcquireWouldFailN(pid%p.perSub, n)
 	}
 	return false
+}
+
+// RecordFailures implements FailureMemo by switching on every
+// sub-network's memo. It answers false when some sub-network has no
+// whole-sub memo or declines to record.
+func (p *Partitioned) RecordFailures() bool {
+	if p.memos == nil {
+		return false
+	}
+	ok := true
+	for _, m := range p.memos {
+		if !m.RecordFailures() {
+			ok = false
+		}
+	}
+	return ok
+}
+
+// RepeatFailures implements FailureMemo by delegating to pid's
+// partition, the block whose failures the memo holds.
+//
+//lint:hotpath books a stuck block's repeat failures in one call
+func (p *Partitioned) RepeatFailures(pid, waiters, n int) {
+	p.memos[pid/p.perSub].RepeatFailures(pid%p.perSub, waiters, n)
 }
 
 // Rejects implements RejectSource with pid's own partition's counter:
@@ -413,4 +479,5 @@ var _ Network = (*Partitioned)(nil)
 var _ TelemetrySource = (*Partitioned)(nil)
 var _ DetailSource = (*Partitioned)(nil)
 var _ BlockHinter = (*Partitioned)(nil)
+var _ FailureMemo = (*Partitioned)(nil)
 var _ RejectSource = (*Partitioned)(nil)

@@ -7,6 +7,7 @@ import (
 	"rsin/internal/bus"
 	"rsin/internal/core"
 	"rsin/internal/crossbar"
+	"rsin/internal/invariant"
 	"rsin/internal/omega"
 )
 
@@ -162,5 +163,178 @@ func TestBlockHinterContract(t *testing.T) {
 	mixed := core.NewPartitioned([]core.Network{&plainNet{granted: true}})
 	if mixed.AcquireWouldFailN(0, 1) {
 		t.Error("sub-network without a block hint reported a certain failure")
+	}
+}
+
+// memoNet is a network with a failure memo.
+type memoNet interface {
+	core.Network
+	core.FailureMemo
+}
+
+// stuckOmega drives the 8-port, one-resource-per-port Omega serving
+// processors [base, base+8) into a stuck state: ports stay free, but
+// the requests of processors base and base+4 are rejected inside the
+// boxes. It returns a grant still on its path and one whose path was
+// released (its resource still serving).
+func stuckOmega(n core.Network, base int) (onPath, serving core.Grant) {
+	serving, _ = n.Acquire(base)
+	n.ReleasePath(serving)
+	n.Acquire(base + 1)
+	n.Acquire(base + 2)
+	onPath, _ = n.Acquire(base)
+	return onPath, serving
+}
+
+// violates reports whether f panics with an *invariant.Violation.
+func violates(f func()) (v bool) {
+	defer func() { v = invariant.ClassifyPanic(recover()) != nil }()
+	f()
+	return false
+}
+
+// TestFailureMemoContract pins the core.FailureMemo contract on Omega
+// and on a Partitioned of Omegas. Once the stuck processors' failures
+// are recorded, RepeatFailures(pid, waiters, n) must change Telemetry
+// and DetailCounters exactly as n more rounds of the same failed
+// Acquires do on a twin, and recording itself must change nothing.
+// Every change of the network's state — a grant, ReleasePath,
+// ReleaseResource, Reset, SetResourceAvailability — must leave the
+// memo stale, which the invariant build reports, as it reports a
+// waiter count the memo does not cover. A network whose failed
+// attempts draw randomness (LaneRandom), a 2×2 Omega (never stuck),
+// or a Partitioned with a sub-network that has no memo, must decline
+// to record.
+func TestFailureMemoContract(t *testing.T) {
+	defer invariant.Enable(invariant.Enabled())
+	invariant.Enable(true)
+
+	part := func(opts ...omega.Option) memoNet {
+		return core.NewPartitioned([]core.Network{omega.New(8, 1, opts...), omega.New(8, 1, opts...)})
+	}
+	cases := []struct {
+		name  string
+		mk    func(opts ...omega.Option) memoNet
+		base  int // first processor of the stuck block
+		other int // a processor outside it, -1 if none
+	}{
+		{"OMEGA", func(opts ...omega.Option) memoNet { return omega.New(8, 1, opts...) }, 0, -1},
+		{"PART/OMEGA", part, 8, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			stuck := []int{c.base, c.base + 4}
+			// record builds a recording network in the stuck state and
+			// fails every stuck processor once on it and on twin.
+			record := func(twin core.Network) (memoNet, core.Grant, core.Grant) {
+				n := c.mk()
+				if !n.RecordFailures() {
+					t.Fatal("RecordFailures declined under the deterministic lane policy")
+				}
+				onPath, serving := stuckOmega(n, c.base)
+				if twin != nil {
+					stuckOmega(twin, c.base)
+				}
+				for _, pid := range stuck {
+					if _, ok := n.Acquire(pid); ok {
+						t.Fatalf("setup: processor %d was granted", pid)
+					}
+					if twin != nil {
+						twin.Acquire(pid)
+					}
+				}
+				return n, onPath, serving
+			}
+
+			for _, rounds := range []int{0, 1, 3} {
+				twin := c.mk()
+				n, _, _ := record(twin)
+				// A recorded processor failing again is counted by the
+				// network, not recorded twice.
+				n.Acquire(stuck[0])
+				twin.Acquire(stuck[0])
+				if counters(n) != counters(twin) {
+					t.Fatalf("recording changed the counters:\nmemo %s\ntwin %s", counters(n), counters(twin))
+				}
+				before := twin.(core.TelemetrySource).Telemetry()
+				n.RepeatFailures(c.base, len(stuck), rounds)
+				for r := 0; r < rounds; r++ {
+					for _, pid := range stuck {
+						if _, ok := twin.Acquire(pid); ok {
+							t.Fatalf("twin granted stuck processor %d", pid)
+						}
+					}
+				}
+				if rounds > 0 && twin.(core.TelemetrySource).Telemetry().Rejects == before.Rejects {
+					t.Fatal("the stuck state rejects nothing: the case does not exercise the reject counters")
+				}
+				if counters(n) != counters(twin) {
+					t.Errorf("rounds=%d: repeat accounting diverged:\nmemo %s\ntwin %s", rounds, counters(n), counters(twin))
+				}
+			}
+
+			n, _, _ := record(nil)
+			if !violates(func() { n.RepeatFailures(c.base, len(stuck)+1, 1) }) {
+				t.Error("a waiter count the memo does not cover went unreported")
+			}
+
+			type change struct {
+				name string
+				do   func(n memoNet, onPath, serving core.Grant)
+			}
+			changes := []change{
+				{"grant", func(n memoNet, _, _ core.Grant) {
+					for pid := c.base; pid < c.base+8; pid++ {
+						if _, ok := n.Acquire(pid); ok {
+							return
+						}
+					}
+					t.Fatal("no processor of the stuck block can be granted")
+				}},
+				{"ReleasePath", func(n memoNet, onPath, _ core.Grant) { n.ReleasePath(onPath) }},
+				{"ReleaseResource", func(n memoNet, _, serving core.Grant) { n.ReleaseResource(serving) }},
+			}
+			if _, ok := c.mk().(*omega.Omega); ok {
+				changes = append(changes,
+					change{"Reset", func(n memoNet, _, _ core.Grant) { n.(*omega.Omega).Reset() }},
+					change{"SetResourceAvailability", func(n memoNet, _, _ core.Grant) { n.(*omega.Omega).SetResourceAvailability(7, 1) }},
+				)
+			}
+			for _, ch := range changes {
+				n, onPath, serving := record(nil)
+				ch.do(n, onPath, serving)
+				if !violates(func() { n.RepeatFailures(c.base, len(stuck), 1) }) {
+					t.Errorf("%s left the memo valid", ch.name)
+				}
+			}
+
+			// The memo is per block: another block's state and memo are
+			// its own.
+			if c.other >= 0 {
+				n, _, _ := record(nil)
+				if _, ok := n.Acquire(c.other); !ok {
+					t.Fatal("idle partition refused a request")
+				}
+				if violates(func() { n.RepeatFailures(c.base, len(stuck), 1) }) {
+					t.Error("a grant in another partition invalidated the memo")
+				}
+			}
+
+			if c.mk(omega.WithLanePolicy(omega.LaneRandom)).RecordFailures() {
+				t.Error("RecordFailures accepted a network whose failed routes draw randomness")
+			}
+		})
+	}
+
+	mixed := core.NewPartitioned([]core.Network{omega.New(4, 1), bus.New(4, 1)})
+	if mixed.RecordFailures() {
+		t.Error("RecordFailures accepted a Partitioned with a sub-network that has no memo")
+	}
+	oneRandom := core.NewPartitioned([]core.Network{omega.New(4, 1), omega.New(4, 1, omega.WithLanePolicy(omega.LaneRandom))})
+	if oneRandom.RecordFailures() {
+		t.Error("RecordFailures accepted a Partitioned with a LaneRandom sub-network")
+	}
+	if omega.New(2, 1).RecordFailures() {
+		t.Error("RecordFailures accepted a 2×2 Omega, whose one box never refuses a live request")
 	}
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"rsin/internal/bus"
 	"rsin/internal/core"
 	"rsin/internal/crossbar"
 	"rsin/internal/omega"
@@ -95,5 +96,14 @@ func TestPartitionedRejects(t *testing.T) {
 	}
 	if p.Rejects(0) == p.Rejects(3*per) {
 		t.Errorf("both omega partitions report %d rejects: lookups may not be per partition", p.Rejects(0))
+	}
+
+	// Bus, crossbar and Omega are their own O(1) counters: RejectsOf
+	// must hand them back as they are, not behind the Telemetry fallback
+	// that copies the whole Telemetry on every read.
+	for _, n := range []core.Network{bus.New(4, 2), crossbar.New(4, 2, 1), omega.New(4, 1)} {
+		if got := core.RejectsOf(n); any(got) != any(n) {
+			t.Errorf("RejectsOf(%s) = %T, want the network itself", n.Name(), got)
+		}
 	}
 }

@@ -121,7 +121,7 @@ func SolveMatrixGeometric(p Params) (Result, error) {
 	res.Delay = meanQ / p.TotalArrival()
 	res.NormalizedDelay = res.Delay * p.MuS
 	if invariant.Enabled() {
-		if verr := verifySolution(p, pi0, levels, topGeometric); verr != nil {
+		if verr := verifySolution(p, pi0, levels); verr != nil {
 			return Result{}, verr
 		}
 	}

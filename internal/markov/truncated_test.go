@@ -120,7 +120,7 @@ func solveTruncatedMass(p Params, maxLevel int) (Result, float64, error) {
 		}
 	}
 	if invariant.Enabled() {
-		if verr := verifySolution(p, pi0, levels, topTruncated); verr != nil {
+		if verr := verifyTruncated(p, pi0, levels); verr != nil {
 			return Result{}, 0, verr
 		}
 	}
@@ -134,4 +134,31 @@ func solveTruncatedMass(p Params, maxLevel int) (Result, float64, error) {
 func negRightSolve(u *linalg.Matrix, luM *linalg.LU) *linalg.Matrix {
 	inv := luM.Inverse()
 	return linalg.Mul(u, inv).Scale(-1)
+}
+
+// verifyTruncated is verifySolution for SolveTruncated's answer, which
+// solves the truncated generator whose top local block is A1 + ΛI
+// (arrivals suppressed): every balance equation is checked, the top
+// one against that block.
+func verifyTruncated(p Params, pi0 []float64, levels [][]float64) error {
+	if err := verifyDistribution(p, pi0, levels, 1e-8); err != nil {
+		return err
+	}
+	L := len(levels)
+	if err := verifyBalance(p, pi0, levels, L-1); err != nil {
+		return err
+	}
+	a0, a1, _, _, b01, _ := blocks(p)
+	top := a1.Clone()
+	for i := 0; i <= p.R; i++ {
+		top.Add(i, i, p.TotalArrival())
+	}
+	r := make([]float64, p.R+1)
+	if L == 1 {
+		addVecMul(r, pi0, b01)
+	} else {
+		addVecMul(r, levels[L-2], a0)
+	}
+	addVecMul(r, levels[L-1], top)
+	return residualSmall(fmt.Sprintf("level %d", L), r, 1e-8*rateScale(p))
 }

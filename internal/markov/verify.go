@@ -8,69 +8,56 @@ import (
 	"rsin/internal/linalg"
 )
 
-// topKind tells the verifier how a solver treated the top of the level
-// ladder, which decides which balance equations its solution can be
-// held to. SolveMatrixGeometric is the production solver; the truncated
-// and literal kinds belong to the test oracles (stages_test.go,
-// truncated_test.go), which run the same verifier.
-type topKind int
-
-const (
-	// topGeometric: the level list is a materialized geometric tail cut
-	// off below 1e-16 mass. All equations hold against the untruncated
-	// blocks except the final level's, whose dropped π_{L+1}·A2 term is
-	// bounded by the cut mass; the verifier checks levels 1..L−1.
-	topGeometric topKind = iota
-	// topTruncated: the solution solves the truncated generator whose
-	// top local block is A1 + ΛI (arrivals suppressed), so every
-	// equation is checked, the top one against that block.
-	topTruncated
-	// topLiteral: the paper's literal downward recursion imposes the
-	// interior equations by construction — even on a numerically ruined
-	// answer — and never imposes the top one, whose residual IS the
-	// truncation error. Only the distribution checks are meaningful,
-	// with a loose tolerance, because the recursion deliberately trades
-	// precision for fidelity to the paper's Eq. (4)–(7) procedure.
-	topLiteral
-)
-
-// verifySolution checks the structural invariants of a computed
-// stationary distribution: the rate blocks assemble into a valid CTMC
-// generator, π is a probability distribution (entries ≥ 0 up to noise,
-// Σπ = 1), and the π·Q residual of every checkable balance equation
-// vanishes within a rate-scaled tolerance.
-func verifySolution(p Params, pi0 []float64, levels [][]float64, top topKind) error {
-	a0, a1, a2, b00, b01, b10 := blocks(p)
-	d := p.R + 1
-	lam := p.TotalArrival()
-	scale := 1.0
-	if s := lam + p.MuN + float64(p.R)*p.MuS; s > scale {
-		scale = s
-	}
-
-	if err := invariant.Generator("markov", assembleTruncated(p), 1e-9*scale); err != nil {
+// verifySolution checks the structural invariants of the stationary
+// distribution SolveMatrixGeometric computed: the rate blocks assemble
+// into a valid CTMC generator, π is a probability distribution (entries
+// ≥ 0 up to noise, Σπ = 1), and the π·Q residual of every checkable
+// balance equation vanishes within a rate-scaled tolerance.
+//
+// The level list is a materialized geometric tail cut off below 1e-16
+// mass. All equations hold against the untruncated blocks except the
+// final level's, whose dropped π_{L+1}·A2 term is bounded by the cut
+// mass, so the balance check covers the boundary and levels 1..L−1.
+func verifySolution(p Params, pi0 []float64, levels [][]float64) error {
+	if err := verifyDistribution(p, pi0, levels, 1e-8); err != nil {
 		return err
 	}
+	return verifyBalance(p, pi0, levels, len(levels)-1)
+}
 
+// rateScale is the largest total rate out of any state (at least 1),
+// the scale of the generator and residual tolerances.
+func rateScale(p Params) float64 {
+	scale := 1.0
+	if s := p.TotalArrival() + p.MuN + float64(p.R)*p.MuS; s > scale {
+		scale = s
+	}
+	return scale
+}
+
+// verifyDistribution checks that the rate blocks assemble into a valid
+// CTMC generator and that pi0 with the levels is a probability
+// distribution within tol.
+func verifyDistribution(p Params, pi0 []float64, levels [][]float64, tol float64) error {
+	if err := invariant.Generator("markov", assembleTruncated(p), 1e-9*rateScale(p)); err != nil {
+		return err
+	}
 	flat := append([]float64(nil), pi0...)
 	for _, pl := range levels {
 		flat = append(flat, pl...)
 	}
-	tol := 1e-8
-	if top == topLiteral {
-		tol = 1e-6
-	}
-	if err := invariant.Distribution("markov", flat, tol); err != nil {
-		return err
-	}
-	if top == topLiteral {
-		return nil
-	}
+	return invariant.Distribution("markov", flat, tol)
+}
 
-	rtol := 1e-8 * scale
-	L := len(levels)
+// verifyBalance checks the boundary balance equations and those of
+// levels 1..top against the untruncated blocks; level top+1 enters
+// through its A2 term when it is materialized.
+func verifyBalance(p Params, pi0 []float64, levels [][]float64, top int) error {
+	a0, a1, a2, b00, b01, b10 := blocks(p)
+	d := p.R + 1
+	rtol := 1e-8 * rateScale(p)
 	level := func(l int) []float64 {
-		if l >= 1 && l <= L {
+		if l >= 1 && l <= len(levels) {
 			return levels[l-1]
 		}
 		return nil
@@ -83,25 +70,14 @@ func verifySolution(p Params, pi0 []float64, levels [][]float64, top topKind) er
 		return err
 	}
 
-	topLevel := L
-	if top == topGeometric {
-		topLevel = L - 1
-	}
-	for l := 1; l <= topLevel; l++ {
+	for l := 1; l <= top; l++ {
 		r := make([]float64, d)
 		if l == 1 {
 			addVecMul(r, pi0, b01)
 		} else {
 			addVecMul(r, level(l-1), a0)
 		}
-		local := a1
-		if l == L && top == topTruncated {
-			local = a1.Clone()
-			for i := 0; i < d; i++ {
-				local.Add(i, i, lam)
-			}
-		}
-		addVecMul(r, level(l), local)
+		addVecMul(r, level(l), a1)
 		addVecMul(r, level(l+1), a2)
 		if err := residualSmall(fmt.Sprintf("level %d", l), r, rtol); err != nil {
 			return err

@@ -51,7 +51,7 @@ func TestVerifyRejectsNonFinite(t *testing.T) {
 			pi0 := uniform(d0, 0.5)
 			levels := [][]float64{uniform(d, 0.25), uniform(d, 0.25)}
 			tc.poison(pi0, levels)
-			err := verifySolution(p, pi0, levels, topTruncated)
+			err := verifySolution(p, pi0, levels)
 			if err == nil {
 				t.Fatal("verifySolution accepted a non-finite distribution")
 			}

@@ -1,6 +1,7 @@
 package omega
 
 import (
+	"math/bits"
 	"testing"
 
 	"rsin/internal/core"
@@ -13,8 +14,8 @@ import (
 // Input layout: byte 0 picks the size (2..64), byte 1 the resources
 // per port, wiring, lane policy and reroute switch; then each 3-byte
 // record (op, a, b) is one operation: Acquire, AcquireWouldFail,
-// AcquireBatch, AcquireTag, ReleasePath, ReleaseResource or
-// SetResourceAvailability.
+// AcquireBatch, AcquireTag, ReleasePath, ReleaseResource,
+// SetResourceAvailability or RepeatFailures.
 //
 // Checked after every step: the status word equals a bit-by-bit
 // recount, resources are conserved per port, every grant landed on a
@@ -25,6 +26,15 @@ import (
 // twin when the hint answers true: the two must then report identical
 // telemetry (the core.AvailabilityHinter contract), and a false answer
 // must leave the primary's telemetry untouched.
+//
+// The primary also records its failures (core.FailureMemo) unless its
+// lane policy is LaneRandom or it has only 2 ports, where
+// RecordFailures must decline. The
+// reference tracks the processors whose Acquire failed since the last
+// state change; a RepeatFailures(n) on the primary becomes, on the
+// twin, n rounds of real Acquires by those processors, each of which
+// must fail. Telemetry and per-stage rejects must then agree, as after
+// every other step.
 func FuzzOmegaOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 2, 0})
@@ -32,6 +42,11 @@ func FuzzOmegaOps(f *testing.F) {
 	f.Add([]byte{5, 2, 0, 1, 0, 0, 2, 0, 0, 3, 0, 2, 11, 0, 6, 3, 0, 4, 0, 0, 5, 0, 0, 2, 7, 0})
 	f.Add([]byte{1, 12, 6, 0, 0, 6, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0, 6, 0, 2, 0, 3, 0})
 	f.Add([]byte{3, 26, 0, 5, 0, 2, 31, 0, 2, 9, 0, 3, 12, 12, 4, 1, 0, 5, 1, 0, 6, 12, 1, 1, 1, 0})
+	// 8 ports, one resource each: processors 0 and 4 path-block, their
+	// failures are repeated three times, then SetResourceAvailability
+	// (leaving port 7 as it was) makes the memo stale and processor 4
+	// fails and is repeated alone.
+	f.Add([]byte{2, 0, 0, 0, 0, 4, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 7, 0, 3, 6, 7, 1, 0, 4, 0, 7, 4, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -49,6 +64,13 @@ func FuzzOmegaOps(f *testing.F) {
 			opts = append(opts, WithoutReroute())
 		}
 		o, twin := New(n, perPort, opts...), New(n, perPort, opts...)
+		memoOn := o.RecordFailures()
+		if memoOn != (o.policy != LaneRandom && n > 2) {
+			t.Fatalf("RecordFailures = %v on %d ports under lane policy %v", memoOn, n, o.policy)
+		}
+		// failed holds the processors whose Acquire failed since the last
+		// change of the network's state.
+		var failed uint64
 
 		// The reference: per-port free resources, bus state and
 		// resources taken offline by SetResourceAvailability, plus the
@@ -90,6 +112,7 @@ func FuzzOmegaOps(f *testing.F) {
 			busy[j] = true
 			free[j]--
 			grants = append(grants, held{g: g, tg: tg, onPath: true})
+			failed = 0
 		}
 		// pick returns the index of the k-th outstanding grant whose path
 		// state is onPath, or -1.
@@ -107,7 +130,7 @@ func FuzzOmegaOps(f *testing.F) {
 		}
 
 		for i := 2; i+2 < len(data); i += 3 {
-			op, a, b := data[i]%7, int(data[i+1]), int(data[i+2])
+			op, a, b := data[i]%8, int(data[i+1]), int(data[i+2])
 			pid := a % n
 			switch op {
 			case 0:
@@ -119,6 +142,11 @@ func FuzzOmegaOps(f *testing.F) {
 				}
 				if ok {
 					grant(g, tg, live)
+				} else {
+					if n == 2 && live != 0 {
+						t.Fatalf("2×2 network refused processor %d with eligible ports %#x", pid, live)
+					}
+					failed |= 1 << uint(pid)
 				}
 			case 1:
 				before := o.Telemetry()
@@ -165,6 +193,7 @@ func FuzzOmegaOps(f *testing.F) {
 					twin.ReleasePath(grants[k].tg)
 					busy[grants[k].g.Port] = false
 					grants[k].onPath = false
+					failed = 0
 				}
 			case 5:
 				if k := pick(a, false); k >= 0 {
@@ -172,6 +201,7 @@ func FuzzOmegaOps(f *testing.F) {
 					twin.ReleaseResource(grants[k].tg)
 					free[grants[k].g.Port]++
 					grants = append(grants[:k], grants[k+1:]...)
+					failed = 0
 				}
 			case 6:
 				// Take resources offline or bring them back, never below
@@ -185,10 +215,29 @@ func FuzzOmegaOps(f *testing.F) {
 				twin.SetResourceAvailability(j, c)
 				free[j] = c
 				offline[j] = perPort - reserved(j) - c
+				failed = 0
+			case 7:
+				if !memoOn || failed == 0 {
+					break
+				}
+				rounds := b % 4
+				o.RepeatFailures(pid, bits.OnesCount64(failed), rounds)
+				for r := 0; r < rounds; r++ {
+					for m := failed; m != 0; m &= m - 1 {
+						if _, ok := twin.Acquire(bits.TrailingZeros64(m)); ok {
+							t.Fatalf("twin granted processor %d, whose failure was repeated", bits.TrailingZeros64(m))
+						}
+					}
+				}
 			}
 
 			if o.Telemetry() != twin.Telemetry() {
 				t.Fatalf("op %d: telemetry diverged from twin:\nnet  %+v\ntwin %+v", op, o.Telemetry(), twin.Telemetry())
+			}
+			for s := range o.rejectsByStage {
+				if o.rejectsByStage[s] != twin.rejectsByStage[s] {
+					t.Fatalf("op %d: stage %d rejects %d, twin %d", op, s, o.rejectsByStage[s], twin.rejectsByStage[s])
+				}
 			}
 			if err := o.VerifyState(); err != nil {
 				t.Fatalf("op %d: %v", op, err)

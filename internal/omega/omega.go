@@ -118,7 +118,12 @@ type Omega struct {
 	// Every grant and release keeps it current, so a box output wire's
 	// availability bit is reach[s][w]&elig and the
 	// core.AvailabilityHinter answer is elig != 0, both O(1).
-	elig   uint64
+	elig uint64
+	// ver is the state version: every change of circuits, port buses or
+	// free resources bumps it, so a failed Acquire repeats identically
+	// while it stands (core.FailureMemo). It sits beside elig, which
+	// the same changes write.
+	ver    uint64
 	outOcc [][]bool // [stage][wire] output-wire occupancy
 	// reach[s][w] is the bitmask of output ports statically reachable
 	// from the wire leaving stage s at position w.
@@ -136,7 +141,18 @@ type Omega struct {
 	// rejects happen and how grants spread over the output ports.
 	rejectsByStage []int64
 	portGrants     []int64
+
+	// Failure memo (core.FailureMemo): once recording is switched on,
+	// failed holds the processors whose plain Acquire failed at state
+	// version failedAt.
+	recording bool
+	failedAt  uint64
+	failed    uint64
 }
+
+// maxStages bounds the stage count (N ≤ 64), so a stage-counter
+// snapshot fits in a fixed array.
+const maxStages = 6
 
 // Option configures a network.
 type Option func(*Omega)
@@ -325,7 +341,71 @@ func (o *Omega) putPath(pg *pathGrant) {
 //
 //lint:hotpath called once per allocation attempt in the event loop
 func (o *Omega) Acquire(pid int) (core.Grant, bool) {
-	return o.acquire(pid, o.elig, o.elig)
+	g, ok := o.acquire(pid, o.elig, o.elig)
+	if !ok && o.recording {
+		if o.failedAt != o.ver {
+			o.failedAt, o.failed = o.ver, 0
+		}
+		o.failed |= 1 << uint(pid)
+	}
+	return g, ok
+}
+
+// RecordFailures implements core.FailureMemo. A LaneRandom box draws
+// from the generator on every visit, failed routes included, so only
+// the deterministic lane policy can have its failures repeated. A 2×2
+// network declines too: its one box reaches every port, so a request
+// fails only when no port is eligible, which the block hint already
+// answers, and no block of it is ever stuck.
+func (o *Omega) RecordFailures() bool {
+	if o.policy == LaneRandom || o.n == 1 {
+		return false
+	}
+	o.recording = true
+	return true
+}
+
+// RepeatFailures implements core.FailureMemo. The memo holds only who
+// failed: one round of their Acquires is re-run here, and its
+// telemetry is then booked n−1 more times. A failed route frees every
+// wire it tried, so the state, the path pool and each attempt's route
+// are exactly as they were; only the counters move. Recording who
+// failed costs one OR per failure, so networks that rarely repeat pay
+// almost nothing, and the one round re-run per call is small beside
+// the walks a stuck block defers.
+//
+//lint:hotpath books a stuck block's repeat failures in one call
+func (o *Omega) RepeatFailures(pid, waiters, n int) {
+	if pid < 0 || pid >= o.size {
+		panic(fmt.Sprintf("omega: processor %d out of range", pid))
+	}
+	if invariant.Enabled() {
+		invariant.Assert(o.failedAt == o.ver, "omega",
+			"failure memo of state version %d repeated at version %d", o.failedAt, o.ver)
+		invariant.Assert(bits.OnesCount64(o.failed) == waiters, "omega",
+			"failure memo covers %d processors, caller expects %d", bits.OnesCount64(o.failed), waiters)
+	}
+	if n == 0 {
+		return
+	}
+	tel := o.tel
+	var stage [maxStages]int64
+	copy(stage[:], o.rejectsByStage)
+	for m := o.failed; m != 0; m &= m - 1 {
+		if _, ok := o.acquire(bits.TrailingZeros64(m), o.elig, o.elig); ok {
+			panic(fmt.Sprintf("omega: recorded failure of processor %d granted on repeat", bits.TrailingZeros64(m)))
+		}
+	}
+	k := int64(n - 1)
+	o.tel.Attempts += k * (o.tel.Attempts - tel.Attempts)
+	o.tel.Failures += k * (o.tel.Failures - tel.Failures)
+	o.tel.ResourceBlock += k * (o.tel.ResourceBlock - tel.ResourceBlock)
+	o.tel.PathBlock += k * (o.tel.PathBlock - tel.PathBlock)
+	o.tel.Rejects += k * (o.tel.Rejects - tel.Rejects)
+	o.tel.BoxVisits += k * (o.tel.BoxVisits - tel.BoxVisits)
+	for s := range o.rejectsByStage {
+		o.rejectsByStage[s] += k * (o.rejectsByStage[s] - stage[s])
+	}
 }
 
 // acquire routes pid's request with box outputs judged by status and
@@ -379,6 +459,7 @@ func (o *Omega) claim(port int) {
 	o.portBusy[port] = true
 	o.elig &^= 1 << uint(port)
 	o.free[port]--
+	o.ver++
 	o.tel.Grants++
 	o.portGrants[port]++
 	if invariant.Enabled() {
@@ -639,6 +720,7 @@ func (o *Omega) ReleasePath(g core.Grant) {
 	}
 	o.portBusy[g.Port] = false
 	o.sync(g.Port)
+	o.ver++
 	if invariant.Enabled() {
 		o.verify()
 	}
@@ -655,6 +737,7 @@ func (o *Omega) ReleaseResource(g core.Grant) {
 	}
 	o.free[g.Port]++
 	o.sync(g.Port)
+	o.ver++
 	if pg, ok := g.Path.(*pathGrant); ok {
 		o.putPath(pg)
 	}
@@ -751,6 +834,7 @@ func (o *Omega) Reset() {
 	for i := range o.portGrants {
 		o.portGrants[i] = 0
 	}
+	o.ver++
 }
 
 // SetResourceAvailability overrides the free-resource count of port j
@@ -766,6 +850,7 @@ func (o *Omega) SetResourceAvailability(j, freeCount int) {
 	}
 	o.free[j] = freeCount
 	o.sync(j)
+	o.ver++
 }
 
 // FreeResources returns the current free-resource count at port j.
@@ -775,4 +860,5 @@ var _ core.Network = (*Omega)(nil)
 var _ core.TelemetrySource = (*Omega)(nil)
 var _ core.DetailSource = (*Omega)(nil)
 var _ core.BlockHinter = (*Omega)(nil)
+var _ core.FailureMemo = (*Omega)(nil)
 var _ core.RejectSource = (*Omega)(nil)

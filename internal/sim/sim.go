@@ -279,13 +279,21 @@ type kernel struct {
 	// Block-aware wake state (see wake). bh is the network's block hint,
 	// nil when it has none: the waiters then form one block that no
 	// pass ever finds hopeless. dead marks the deferred blocks: found
-	// hopeless by a pass they were not touched in, skipped since, and
-	// owing every pass after paid[b].
+	// hopeless by a pass they were not touched in, or stuck, skipped
+	// since, and owing every pass after paid[b].
 	bh     core.BlockHinter
 	dead   []uint64
 	ndead  int // deferred blocks; 0 lets touch skip the lookup
 	paid   []int64
 	passes int64 // wake passes run so far
+
+	// memo is the network's failure memo, nil when the run cannot use
+	// it (see newKernel); stuck is allocated with it. stuck marks the blocks walked in full by a
+	// pass that granted none of their waiters and not touched since: a
+	// stuck block is deferred by the next pass, and a deferred block
+	// with its stuck bit set owes repeat failures, not hopeless probes.
+	memo  core.FailureMemo
+	stuck []uint64
 
 	// headSince[pid] is the simulated time pid's current head-of-queue
 	// task became eligible to transmit: the first instant the engine
@@ -377,6 +385,18 @@ func newKernel(net core.Network, cfg Config) *kernel {
 	k.blocked = newWaiterSet(p, span)
 	k.dead = make([]uint64, len(k.blocked.blocks))
 	k.paid = make([]int64, len(k.blocked.count))
+	// Stuck blocks are deferred only where skipping their walk is
+	// invisible: no probe (each failed attempt would emit its reject
+	// event), a pass-by-pass walk in index order (WakeRandom interleaves
+	// the blocks, jitter schedules retries instead of passes), and at
+	// least two blocks (a single block is touched by every release, so
+	// it is never stuck at the next pass's start).
+	if fm, ok := net.(core.FailureMemo); ok && k.probe == nil && cfg.RetryJitter == 0 &&
+		(cfg.WakePolicy == WakeIndexOrder || cfg.WakePolicy == WakeRoundRobin) &&
+		len(k.blocked.count) >= 2 && fm.RecordFailures() {
+		k.memo = fm
+		k.stuck = make([]uint64, len(k.blocked.blocks))
+	}
 	if cfg.WakePolicy == WakeRandom {
 		k.wakeScratch = make([]int, p)
 	}
@@ -427,6 +447,7 @@ func (k *kernel) run() (Result, error) {
 		switch e.kind() {
 		case evArrival:
 			if err := k.onArrival(int(e.pid)); err != nil {
+				//lint:coldpath saturation abort, terminates the run
 				k.settleAll()
 				return Result{}, err
 			}
@@ -732,6 +753,11 @@ func (k *kernel) tryStart(pid int) bool {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindGrant, Pid: pid, Port: g.Port, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: k.rej.Rejects(pid) - rejBefore})
 	}
 	k.blocked.remove(pid)
+	if k.memo != nil {
+		// A grant changes the block: it is not stuck (see walk).
+		b := k.blocked.block[pid]
+		k.stuck[b>>6] &^= 1 << uint(b&63)
+	}
 	k.recordDelay(k.startTx(pid, g))
 	return true
 }
@@ -769,8 +795,13 @@ func (k *kernel) tryStart(pid int) bool {
 // Telemetry counters are sums, so moving those additions in time
 // changes no result. Blocks whose hint answers "live" — Omega blocks
 // whose waiters path-block inside the boxes — are walked waiter by
-// waiter as before, keeping every reject event and LaneRandom draw in
-// place.
+// waiter, keeping every reject event and LaneRandom draw in place,
+// with one exception (core.FailureMemo): a live block that a pass
+// walked in full without a grant is stuck. Nothing in it changes until
+// something touches it, so every later walk would refuse the same
+// waiters with the same telemetry; the next pass defers it like a
+// hopeless block, and settle books the owed walks with one
+// RepeatFailures call.
 //
 // With RetryJitter set, retries are instead scheduled after independent
 // exponential delays — the paper's de-synchronization suggestion —
@@ -818,11 +849,12 @@ func (k *kernel) wake(released int) {
 	}
 }
 
-// classify opens a wake pass: it asks the block hint about every block
-// with waiters that is not deferred yet. A hopeless touched block has
-// its waiters charged for this pass in one call and is returned, for
-// the pass to skip; a hopeless untouched block is deferred from this
-// pass on. It returns -1 when the touched block is live.
+// classify opens a wake pass: it defers every stuck block with waiters
+// and asks the block hint about the others not deferred yet. A hopeless
+// touched block has its waiters charged for this pass in one call and
+// is returned, for the pass to skip; a hopeless untouched block is
+// deferred from this pass on. It returns -1 when the touched block is
+// live.
 //
 //lint:hotpath once per wake pass
 func (k *kernel) classify(touched int) (skip int) {
@@ -832,22 +864,34 @@ func (k *kernel) classify(touched int) (skip int) {
 	}
 	span := k.blocked.span
 	for b := k.nextLive(0); b != -1; b = k.nextLive(b + 1) {
-		if b == touched {
+		switch {
+		case k.memo != nil && k.isStuck(b):
+			k.deferBlock(b)
+		case b == touched:
 			if k.bh.AcquireWouldFailN(b*span, k.blocked.count[b]) {
 				skip = b
 			}
-		} else if k.bh.AcquireWouldFailN(b*span, 0) {
-			k.dead[b>>6] |= 1 << uint(b&63)
-			k.ndead++
-			k.paid[b] = k.passes - 1
+		case k.bh.AcquireWouldFailN(b*span, 0):
+			k.deferBlock(b)
 		}
 	}
 	return skip
 }
 
+// deferBlock defers block b from the current pass on.
+//
+//lint:hotpath
+func (k *kernel) deferBlock(b int) {
+	k.dead[b>>6] |= 1 << uint(b&63)
+	k.ndead++
+	k.paid[b] = k.passes - 1
+}
+
 // walk visits the waiters in [lo, hi) in ascending order, except those
 // of deferred blocks and of block skip, and reports whether any was
-// granted.
+// granted. With the failure memo on, a block that lies wholly in
+// [lo, hi) is marked stuck before its walk, and tryStart clears the
+// mark if it grants one of its waiters.
 //
 //lint:hotpath one wake pass
 func (k *kernel) walk(lo, hi, skip int) (progress bool) {
@@ -857,6 +901,9 @@ func (k *kernel) walk(lo, hi, skip int) (progress bool) {
 			continue
 		}
 		end := min((b+1)*span, hi)
+		if k.memo != nil && lo <= b*span && (b+1)*span <= hi {
+			k.stuck[b>>6] |= 1 << uint(b&63) // a grant clears it again
+		}
 		for pid := k.blocked.next(max(lo, b*span)); pid != -1 && pid < end; pid = k.blocked.next(pid + 1) {
 			if jitter {
 				k.retryLater(pid)
@@ -902,30 +949,45 @@ func (k *kernel) nextLive(from int) int {
 //lint:hotpath
 func (k *kernel) deferred(b int) bool { return k.dead[b>>6]&(1<<uint(b&63)) != 0 }
 
+// isStuck reports whether block b is marked stuck.
+//
+//lint:hotpath
+func (k *kernel) isStuck(b int) bool { return k.stuck[b>>6]&(1<<uint(b&63)) != 0 }
+
 // touch settles the block of pid before an arrival, retry or release
 // changes its waiters or its network state.
 //
 //lint:hotpath runs before every arrival, retry and release
 func (k *kernel) touch(pid int) {
-	if k.ndead != 0 {
+	if k.ndead != 0 || k.memo != nil {
 		k.settle(int(k.blocked.block[pid]))
 	}
 }
 
-// settle pays block b's debt if it is deferred: one hopeless probe per
-// waiter for every pass since paid[b], in one call. Nothing has touched
-// the block since it was deferred, so it is still hopeless and its
-// waiters are still the ones those passes skipped.
+// settle clears block b's stuck mark and pays its debt if it is
+// deferred, in one call for every pass since paid[b]: one hopeless
+// probe per waiter, or, for a stuck block, one repeat of each waiter's
+// failed attempt. Nothing has touched the block since it was deferred,
+// so it is still hopeless or stuck and its waiters are still the ones
+// those passes skipped.
 //
 //lint:hotpath
 func (k *kernel) settle(b int) {
+	stuck := k.memo != nil && k.isStuck(b)
+	if stuck {
+		k.stuck[b>>6] &^= 1 << uint(b&63)
+	}
 	if !k.deferred(b) {
 		return
 	}
 	k.dead[b>>6] &^= 1 << uint(b&63)
 	k.ndead--
-	owed := (k.passes - k.paid[b]) * int64(k.blocked.count[b])
-	hopeless := k.bh.AcquireWouldFailN(b*k.blocked.span, int(owed))
+	passes, waiters := k.passes-k.paid[b], k.blocked.count[b]
+	if stuck {
+		k.memo.RepeatFailures(b*k.blocked.span, waiters, int(passes))
+		return
+	}
+	hopeless := k.bh.AcquireWouldFailN(b*k.blocked.span, int(passes*int64(waiters)))
 	if invariant.Enabled() {
 		invariant.Assert(hopeless, "sim", "deferred block %d turned live before it was settled", b)
 	}

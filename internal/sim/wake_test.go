@@ -140,9 +140,18 @@ func diffNets() map[string]func() core.Network {
 		"PART-OMEGA": func() core.Network {
 			return core.NewPartitioned([]core.Network{omega.New(8, 2), omega.New(8, 2)})
 		},
+		// Four small Omega networks under heavy load: blocks stay stuck
+		// (live, every waiter refused in the boxes) across many passes,
+		// so their repeat failures are booked through the failure memo.
+		"PART-OMEGA-STUCK": func() core.Network {
+			return core.NewPartitioned([]core.Network{
+				omega.New(8, 1), omega.New(8, 1), omega.New(8, 1), omega.New(8, 1),
+			})
+		},
 		// The same with random lane choice: every walked waiter's failed
 		// route draws from the network's generator, so a waiter skipped
-		// or visited out of order shifts the stream.
+		// or visited out of order shifts the stream. The failure memo
+		// must stay off.
 		"PART-OMEGA-LR": func() core.Network {
 			mk := func(seed uint64) core.Network {
 				return omega.New(8, 2, omega.WithLanePolicy(omega.LaneRandom), omega.WithSeed(seed))
@@ -168,6 +177,8 @@ func diffLambda(name string) float64 {
 		return 0.4 // resource intensity ≈ 0.8
 	case "PART-OMEGA", "PART-OMEGA-LR":
 		return 1.2 // heavy path contention, as OMEGA
+	case "PART-OMEGA-STUCK":
+		return 0.6 // one resource per port: resource intensity ≈ 0.9
 	default:
 		panic("unknown diff net " + name)
 	}
@@ -254,8 +265,9 @@ func TestWakeEngineDifferentialTrace(t *testing.T) {
 	}
 }
 
-// countingNet forwards a network with a block hint and counts the
-// calls the kernel makes into its grant path and its hints.
+// countingNet forwards a network with a block hint, and its failure
+// memo when it has one, and counts the calls the kernel makes into its
+// grant path and its hints.
 type countingNet struct {
 	core.Network
 	bh       core.BlockHinter
@@ -278,6 +290,15 @@ func (c *countingNet) HintSpan() int { return c.bh.HintSpan() }
 func (c *countingNet) AcquireWouldFailN(pid, n int) bool {
 	c.hints++
 	return c.bh.AcquireWouldFailN(pid, n)
+}
+
+func (c *countingNet) RecordFailures() bool {
+	fm, ok := c.Network.(core.FailureMemo)
+	return ok && fm.RecordFailures()
+}
+
+func (c *countingNet) RepeatFailures(pid, waiters, n int) {
+	c.Network.(core.FailureMemo).RepeatFailures(pid, waiters, n)
 }
 
 // BenchmarkWakeEngines measures the incremental blocked-waiter engine
